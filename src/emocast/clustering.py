@@ -16,10 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Gender
-from .errors import CurveError, DimensionError, NonFiniteError
+from .errors import CurveError, DimensionError, InvariantError, NonFiniteError
 
 KMEANS_MAX_ITER = 300
 DEFAULT_RESTARTS = 10
+_WARD_ROW_BLOCK = 16  # rows of pairwise differences held at once
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def kmeans(
 
     Nearest-centroid ties go to the lowest centroid index; an emptied
     cluster is reseeded with the farthest point. SSE never increases
-    across iterations (asserted).
+    across iterations; an increase raises InvariantError.
     """
     X = _as_matrix(points)
     n = X.shape[0]
@@ -141,8 +142,10 @@ def kmeans(
         for j in range(k):
             centers[j] = X[assign == j].mean(axis=0)
         sse = float(((X - centers[assign]) ** 2).sum())
-        if math.isfinite(prev_sse):
-            assert sse <= prev_sse + 1e-9 * (1.0 + prev_sse)
+        if math.isfinite(prev_sse) and sse > prev_sse + 1e-9 * (1.0 + prev_sse):
+            raise InvariantError(
+                f"kmeans: SSE rose from {prev_sse!r} to {sse!r} in iteration {iterations}"
+            )
         prev_assign, prev_sse = assign.copy(), sse
 
     sse = float(((X - centers[assign]) ** 2).sum())
@@ -165,12 +168,13 @@ def best_kmeans(
     restarts: int = DEFAULT_RESTARTS,
 ) -> KMeansResult:
     """Best of ``restarts`` runs by SSE; ties keep the earliest restart."""
-    best: KMeansResult | None = None
-    for restart in range(restarts):
+    if restarts < 1:
+        raise InvariantError(f"best_kmeans needs at least 1 restart, got {restarts}")
+    best = kmeans(points, k, _derived_seed(seed, k, 0))
+    for restart in range(1, restarts):
         result = kmeans(points, k, _derived_seed(seed, k, restart))
-        if best is None or result.sse < best.sse:
+        if result.sse < best.sse:
             best = result
-    assert best is not None
     return best
 
 
@@ -180,13 +184,22 @@ def sse_curve(
     k_max: int,
     seed: int,
     restarts: int = DEFAULT_RESTARTS,
+    *,
+    results: dict[int, KMeansResult] | None = None,
 ) -> list[tuple[int, float]]:
-    """Per-k minimum SSE over restarts, for elbow inspection."""
+    """Per-k minimum SSE over restarts, for elbow inspection.
+
+    When ``results`` is given, it receives each k's best ``KMeansResult``,
+    the same one ``best_kmeans(points, k, seed, restarts)`` returns.
+    """
     X = _as_matrix(points)
     n = X.shape[0]
     if not 1 <= k_min <= k_max <= n:
         raise ValueError(f"need 1 <= k_min <= k_max <= {n}")
-    return [(k, best_kmeans(X, k, seed, restarts).sse) for k in range(k_min, k_max + 1)]
+    found = {k: best_kmeans(X, k, seed, restarts) for k in range(k_min, k_max + 1)}
+    if results is not None:
+        results.update(found)
+    return [(k, best.sse) for k, best in found.items()]
 
 
 def elbow_detect(curve: Sequence[tuple[int, float]]) -> int:
@@ -215,9 +228,15 @@ def ward_cluster(
     Singleton clusters start with ids 0..n-1; each merge creates id n+step.
     Pair costs are maintained with the Lance-Williams recurrence for the
     Ward criterion, so each recorded cost is the exact SSE increase of that
-    merge. Cost ties resolve to the lowest (id_a, id_b) pair. Cutting the
-    merge history at k clusters yields assignments labeled 0..k-1 in order
-    of each cluster's smallest point index.
+    merge. Cost ties resolve to the lowest (id_a, id_b) pair, id_a < id_b.
+    Cutting the merge history at k clusters yields assignments labeled
+    0..k-1 in order of each cluster's smallest point index.
+
+    Memory is O(n^2): one n x n cost matrix indexed by slot. Slot i starts
+    with cluster i; a merge puts the new cluster in the slot of id_a and
+    retires the slot of id_b. Each slot caches its cheapest partner among
+    the clusters with a larger id (ties to the lowest id), so a merge
+    rescans only the rows whose cached partner took part in it.
     """
     X = _as_matrix(points)
     n = X.shape[0]
@@ -226,63 +245,83 @@ def ward_cluster(
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
 
-    m = 2 * n - 1
-    cost = np.full((m, m), np.inf)
-    diff = X[:, None, :] - X[None, :, :]
-    pair_sq = np.einsum("ijd,ijd->ij", diff, diff)
-    cost[:n, :n] = 0.5 * pair_sq
+    cost = np.empty((n, n))
+    for lo in range(0, n, _WARD_ROW_BLOCK):
+        diff = X[lo : lo + _WARD_ROW_BLOCK, None, :] - X[None, :, :]
+        cost[lo : lo + _WARD_ROW_BLOCK] = 0.5 * np.einsum("ijd,ijd->ij", diff, diff)
     np.fill_diagonal(cost, np.inf)
 
-    sizes = np.zeros(m, dtype=float)
-    sizes[:n] = 1.0
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    active = set(range(n))
+    ids = np.arange(n)  # cluster id held by each slot
+    sizes = np.ones(n)
+    active = np.ones(n, dtype=bool)
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}  # by slot
+    nn_cost = np.full(n, np.inf)
+    nn_slot = np.full(n, -1)
+
+    def rescan(slot: int) -> None:
+        row = np.where(active & (ids > ids[slot]), cost[slot], np.inf)
+        best = row.min()
+        ties = np.flatnonzero(row == best)
+        nn_cost[slot] = best
+        nn_slot[slot] = ties[np.argmin(ids[ties])]
 
     def snapshot_assignments() -> list[int]:
-        clusters = sorted((min(members[cid]), cid) for cid in active)
-        label_of = {cid: label for label, (_, cid) in enumerate(clusters)}
+        clusters = sorted((min(points_in), slot) for slot, points_in in members.items())
         assignment = [0] * n
-        for cid in active:
-            for point in members[cid]:
-                assignment[point] = label_of[cid]
+        for label, (_, slot) in enumerate(clusters):
+            for point in members[slot]:
+                assignment[point] = label
         return assignment
 
-    assignments = snapshot_assignments() if len(active) == k else None
+    for slot in range(n - 1):
+        rescan(slot)
+    assignments = snapshot_assignments() if n == k else None
     merges: list[Merge] = []
     for step in range(n - 1):
-        flat = int(np.argmin(cost))
-        i, j = divmod(flat, m)
-        merge_cost = float(cost[i, j])
+        best = nn_cost.min()
+        if not math.isfinite(best):
+            raise NonFiniteError("ward_cluster: merge cost overflowed")
+        ties = np.flatnonzero(nn_cost == best)
+        a = int(ties[np.argmin(ids[ties])])
+        b = int(nn_slot[a])
+        merge_cost = float(cost[a, b])
         new_id = n + step
-        new_size = sizes[i] + sizes[j]
-
-        ids = np.fromiter(
-            (c for c in active if c != i and c != j), dtype=int, count=len(active) - 2
+        new_size = sizes[a] + sizes[b]
+        merges.append(
+            Merge(id_a=int(ids[a]), id_b=int(ids[b]), cost=merge_cost, new_size=int(new_size))
         )
-        if ids.size:
-            updated = (
-                (sizes[i] + sizes[ids]) * cost[np.minimum(i, ids), np.maximum(i, ids)]
-                + (sizes[j] + sizes[ids]) * cost[np.minimum(j, ids), np.maximum(j, ids)]
-                - sizes[ids] * merge_cost
-            ) / (new_size + sizes[ids])
-            cost[np.minimum(ids, new_id), np.maximum(ids, new_id)] = updated
-            cost[np.maximum(ids, new_id), np.minimum(ids, new_id)] = updated
 
-        cost[i, :] = np.inf
-        cost[:, i] = np.inf
-        cost[j, :] = np.inf
-        cost[:, j] = np.inf
+        active[a] = active[b] = False
+        others = np.flatnonzero(active)
+        s = sizes[others]
+        updated = (
+            (sizes[a] + s) * cost[a, others]
+            + (sizes[b] + s) * cost[b, others]
+            - s * merge_cost
+        ) / (new_size + s)
+        cost[a, others] = updated
+        cost[others, a] = updated
+        active[a] = True
+        ids[a] = new_id
+        sizes[a] = new_size
+        members[a].extend(members.pop(b))
+        nn_cost[a] = nn_cost[b] = np.inf
+        nn_slot[a] = nn_slot[b] = -1
 
-        sizes[new_id] = new_size
-        members[new_id] = members.pop(i) + members.pop(j)
-        active.discard(i)
-        active.discard(j)
-        active.add(new_id)
-        merges.append(Merge(id_a=i, id_b=j, cost=merge_cost, new_size=int(new_size)))
-        if len(active) == k:
+        # Rows whose cached partner was merged away are rescanned. Any other
+        # row keeps its partner unless the new cluster is strictly cheaper:
+        # the new id is the largest, so it never wins a cost tie.
+        stale = others[(nn_slot[others] == a) | (nn_slot[others] == b)]
+        lower = updated < nn_cost[others]
+        nn_cost[others[lower]] = updated[lower]
+        nn_slot[others[lower]] = a
+        for slot in stale:
+            rescan(int(slot))
+        if n - step - 1 == k:
             assignments = snapshot_assignments()
 
-    assert assignments is not None
+    if assignments is None:
+        raise InvariantError(f"ward_cluster: merge history never reached k={k} clusters")
     return Dendrogram(n_points=n, merges=merges), assignments
 
 

@@ -41,6 +41,11 @@ class DimensionError(EmocastError):
     """Ragged or non-2D point matrix passed to a clustering routine."""
 
 
+class InvariantError(EmocastError):
+    """A clustering routine was called outside its contract, or an invariant
+    it maintains (monotone k-means SSE, a cut at k clusters) failed to hold."""
+
+
 class CurveError(EmocastError):
     """SSE curve too short or not over consecutive k for elbow detection."""
 

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .clustering import (
+    KMeansResult,
     best_kmeans,
     composition_audit,
     elbow_detect,
@@ -357,7 +358,8 @@ def stage_cluster(cfg: RunConfig) -> dict:
         raise ValueError(f"cluster: need at least 2 characters with affect, have {n}")
 
     k_max = min(K_MAX_DEFAULT, n)
-    curve = sse_curve(matrix, 1, k_max, cfg.seed)
+    best_per_k: dict[int, KMeansResult] = {}
+    curve = sse_curve(matrix, 1, k_max, cfg.seed, results=best_per_k)
     if cfg.k == "auto":
         try:
             chosen_k = elbow_detect(curve)
@@ -370,7 +372,10 @@ def stage_cluster(cfg: RunConfig) -> dict:
         if chosen_k > n:
             raise ValueError(f"cluster: k={chosen_k} exceeds {n} characters")
 
-    km = best_kmeans(matrix, chosen_k, cfg.seed)
+    if chosen_k in best_per_k:
+        km = best_per_k[chosen_k]
+    else:  # a fixed --k above k_max was not swept
+        km = best_kmeans(matrix, chosen_k, cfg.seed)
     _, ward_assign = ward_cluster(matrix, chosen_k)
 
     genders = [row["gender"] for row in kept]

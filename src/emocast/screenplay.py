@@ -108,22 +108,36 @@ def load_positional_blocks(source: str) -> list[RawBlock]:
     return blocks
 
 
-def infer_indent_profile(blocks: list[RawBlock]) -> IndentProfile:
-    """Pick the three most frequent left offsets as action/dialogue/cue.
+def infer_indent_profile(blocks: list[RawBlock], tolerance: int = TEXT_TOLERANCE) -> IndentProfile:
+    """Pick the three most populated offset levels as action/dialogue/cue.
 
-    Frequency ties are broken toward the smaller offset so the result is
-    deterministic. Raises ProfileError when fewer than three distinct
-    offsets occur.
+    Offsets are first grouped into levels: the most frequent offset not yet
+    grouped takes every ungrouped offset within ``tolerance`` of it, so
+    jittered copies of one level count together. Each level sits at the
+    centre of its offsets' span (rounded down), which keeps every grouped
+    offset within ``tolerance`` of it for ``classify_blocks``. Frequency
+    ties, both when seeding groups and when ranking levels, go to the
+    smaller offset so the result is deterministic. Raises ProfileError
+    when fewer than three levels occur.
     """
     if not blocks:
         raise ProfileError("no blocks to profile")
     counts = Counter(b.left for b in blocks)
-    if len(counts) < 3:
+    ungrouped = set(counts)
+    levels = []  # (blocks in the level, level offset)
+    for seed, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        if seed not in ungrouped:
+            continue
+        members = sorted(left for left in ungrouped if abs(left - seed) <= tolerance)
+        ungrouped.difference_update(members)
+        levels.append((sum(counts[left] for left in members), (members[0] + members[-1]) // 2))
+    if len(levels) < 3:
         raise ProfileError(
-            f"need at least 3 distinct left offsets, found {len(counts)}"
+            f"need at least 3 distinct left offset levels (within {tolerance} grouped), "
+            f"found {len(levels)}"
         )
-    top3 = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:3]
-    action, dialogue, cue = sorted(left for left, _ in top3)
+    top3 = sorted(levels, key=lambda level: (-level[0], level[1]))[:3]
+    action, dialogue, cue = sorted(left for _, left in top3)
     return IndentProfile(action, dialogue, cue)
 
 
@@ -245,7 +259,7 @@ def parse_script(path: str | Path, mode: str | None = None) -> CharacterDictiona
         tolerance = TEXT_TOLERANCE
     else:
         raise ValueError(f"unknown script mode {mode!r}")
-    profile = infer_indent_profile(blocks)
+    profile = infer_indent_profile(blocks, tolerance)
     return build_character_dictionary(classify_blocks(blocks, profile, tolerance))
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations the tests check against.
 
 These deliberately avoid the code paths under test: the U statistic comes
-from direct pair enumeration, Ward merges from full SSE recomputation, the
+from direct pair enumeration, Ward merges from full SSE recomputation (and,
+at sizes where that is too slow, from the first dense Ward kernel), the
 k-means optimum from exhaustive partition search, and silhouette from the
 textbook definition.
 """
@@ -56,6 +57,78 @@ def ward_naive(X):
         merges.append((id_a, id_b, cost, len(members)))
         next_id += 1
     return merges
+
+
+def ward_dense_reference(points, k):
+    """The dense Lance-Williams Ward kernel the package shipped first.
+
+    Keeps a (2n-1)^2 cost matrix, fills it from an n x n x d difference
+    tensor and scans all of it on every merge, so it needs O(n^2 d) memory
+    and O(n^3) time, but its costs carry the exact bits the slot-reusing
+    kernel must reproduce. Returns ``(merges, assignments)`` with merges as
+    ``(id_a, id_b, cost, new_size)`` tuples, like ``ward_naive``.
+    """
+    X = np.asarray(points, dtype=float)
+    n = X.shape[0]
+
+    m = 2 * n - 1
+    cost = np.full((m, m), np.inf)
+    diff = X[:, None, :] - X[None, :, :]
+    pair_sq = np.einsum("ijd,ijd->ij", diff, diff)
+    cost[:n, :n] = 0.5 * pair_sq
+    np.fill_diagonal(cost, np.inf)
+
+    sizes = np.zeros(m, dtype=float)
+    sizes[:n] = 1.0
+    members = {i: [i] for i in range(n)}
+    active = set(range(n))
+
+    def snapshot_assignments():
+        clusters = sorted((min(members[cid]), cid) for cid in active)
+        label_of = {cid: label for label, (_, cid) in enumerate(clusters)}
+        assignment = [0] * n
+        for cid in active:
+            for point in members[cid]:
+                assignment[point] = label_of[cid]
+        return assignment
+
+    assignments = snapshot_assignments() if len(active) == k else None
+    merges = []
+    for step in range(n - 1):
+        flat = int(np.argmin(cost))
+        i, j = divmod(flat, m)
+        merge_cost = float(cost[i, j])
+        new_id = n + step
+        new_size = sizes[i] + sizes[j]
+
+        ids = np.fromiter(
+            (c for c in active if c != i and c != j), dtype=int, count=len(active) - 2
+        )
+        if ids.size:
+            updated = (
+                (sizes[i] + sizes[ids]) * cost[np.minimum(i, ids), np.maximum(i, ids)]
+                + (sizes[j] + sizes[ids]) * cost[np.minimum(j, ids), np.maximum(j, ids)]
+                - sizes[ids] * merge_cost
+            ) / (new_size + sizes[ids])
+            cost[np.minimum(ids, new_id), np.maximum(ids, new_id)] = updated
+            cost[np.maximum(ids, new_id), np.minimum(ids, new_id)] = updated
+
+        cost[i, :] = np.inf
+        cost[:, i] = np.inf
+        cost[j, :] = np.inf
+        cost[:, j] = np.inf
+
+        sizes[new_id] = new_size
+        members[new_id] = members.pop(i) + members.pop(j)
+        active.discard(i)
+        active.discard(j)
+        active.add(new_id)
+        merges.append((i, j, merge_cost, int(new_size)))
+        if len(active) == k:
+            assignments = snapshot_assignments()
+
+    assert assignments is not None
+    return merges, assignments
 
 
 def kmeans_optimal_sse(X, k):

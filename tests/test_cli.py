@@ -6,7 +6,10 @@ import time
 import pytest
 
 from emocast.cli import main
+from emocast.clustering import best_kmeans
 from emocast.emotion import EMOTION_COLUMNS
+
+from synth import build_planted_corpus
 
 
 def run_cli(*args):
@@ -53,6 +56,27 @@ class TestStagedRuns:
     def test_score_without_parse_fails(self, fixture_args):
         args, _ = fixture_args
         assert run_cli("score", *args) == 1
+
+    @pytest.mark.parametrize("k", [3, 12])
+    def test_cluster_kmeans_is_best_kmeans(self, tmp_path, k):
+        # k = 3 reuses the SSE sweep's result; k = 12 lies above the sweep
+        inputs = build_planted_corpus(tmp_path / "inputs", seed=0)
+        out = tmp_path / "out"
+        args = [
+            "--scripts", inputs["scripts"],
+            "--metadata", inputs["metadata"],
+            "--lexicon", inputs["lexicon"],
+            "--out", out,
+        ]
+        for stage in ("parse", "score"):
+            assert run_cli(stage, *args) == 0, stage
+        assert run_cli("cluster", *args, "--k", k) == 0
+        with (out / "emotions.csv").open(newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["no_affect"] != "true"]
+        matrix = [[float(row[name]) for name in EMOTION_COLUMNS] for row in rows]
+        with (out / "clusters.csv").open(newline="") as fh:
+            labels = [int(row["kmeans_cluster"]) for row in csv.DictReader(fh)]
+        assert labels == best_kmeans(matrix, k, seed=42).assignments
 
     def test_all_stages_compose(self, fixture_args):
         args, out = fixture_args

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,17 +7,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocast.clustering import (
+    best_kmeans,
     composition_audit,
     elbow_detect,
     kmeans,
     sse_curve,
     ward_cluster,
 )
-from emocast.errors import CurveError, DimensionError
+from emocast.errors import CurveError, DimensionError, InvariantError, NonFiniteError
 
-from oracles import cluster_sse, kmeans_optimal_sse, ward_naive
+from oracles import cluster_sse, kmeans_optimal_sse, ward_dense_reference, ward_naive
 
 TWO_BLOBS_4PT = [[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]
+
+
+def planted_clusters(rng, n, dim=32, centers=6):
+    """Emotion-like vectors in [0, 1]: noisy copies of a few random centres."""
+    means = rng.random(size=(centers, dim))
+    noisy = means[rng.integers(centers, size=n)] + rng.normal(0.0, 0.05, size=(n, dim))
+    return np.clip(noisy, 0.0, 1.0)
+
+
+def tie_heavy(rng, n, dim=32):
+    """Points on a coarse grid in three of ``dim`` axes: duplicates and equal costs everywhere."""
+    pts = np.zeros((n, dim))
+    pts[:, :3] = rng.integers(0, 3, size=(n, 3))
+    return pts
 
 
 def three_blobs(rng, per_blob=30, sigma=0.1, separation=10.0):
@@ -95,6 +111,21 @@ class TestSseCurve:
         pts = three_blobs(np.random.default_rng(8), per_blob=10)
         assert sse_curve(pts, 1, 5, seed=2) == sse_curve(pts, 1, 5, seed=2)
 
+    def test_results_are_best_kmeans_per_k(self):
+        pts = three_blobs(np.random.default_rng(9), per_blob=10)
+        results = {}
+        curve = sse_curve(pts, 2, 5, seed=3, results=results)
+        assert sorted(results) == [2, 3, 4, 5]
+        for k, sse in curve:
+            expected = best_kmeans(pts, k, seed=3)
+            assert results[k].sse == sse == expected.sse
+            assert results[k].assignments == expected.assignments
+            assert np.array_equal(results[k].centroids, expected.centroids)
+
+    def test_zero_restarts_rejected(self):
+        with pytest.raises(InvariantError):
+            best_kmeans([[0.0], [1.0]], k=1, seed=0, restarts=0)
+
 
 class TestElbow:
     def test_reference_curve(self):
@@ -169,6 +200,65 @@ class TestWard:
         _, assignments = ward_cluster([[0.0], [100.0], [0.1], [100.1]], k=2)
         assert assignments[0] == 0
         assert assignments == [0, 1, 0, 1]
+
+    @pytest.mark.parametrize("n", [300, 1000])
+    @pytest.mark.parametrize("make", [planted_clusters, tie_heavy])
+    def test_matches_dense_reference_bit_for_bit(self, make, n):
+        pts = make(np.random.default_rng(n), n)
+        for k in (1, 6):
+            dendrogram, assignments = ward_cluster(pts, k=k)
+            expected_merges, expected_assignments = ward_dense_reference(pts, k)
+            got = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
+            assert got == expected_merges
+            assert assignments == expected_assignments
+
+    def test_small_grids_match_dense_reference(self):
+        # coarse 3-D grids tie non-zero costs between original and merged
+        # clusters, which is where slot order and id order part ways
+        rng = np.random.default_rng(1)
+        for _ in range(1000):
+            n = int(rng.integers(3, 40))
+            pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))).astype(float)
+            dendrogram, _ = ward_cluster(pts, k=1)
+            got = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
+            assert got == ward_dense_reference(pts, 1)[0]
+
+    def test_grid_duplicates_match_naive_tie_rule(self):
+        # Integer grid points drawn with replacement from a few distinct ones:
+        # each duplicate joins at cost exactly 0, so the lowest-id rule decides
+        # those merges while slots are being reused. The grid is wide so that
+        # non-zero costs do not tie; there the naive SSE differences and the
+        # recurrence round differently (the dense-reference test pins them).
+        rng = np.random.default_rng(2024)
+        zero_cost_merges = 0
+        for _ in range(150):
+            n = int(rng.integers(2, 21))
+            dim = int(rng.integers(1, 4))
+            distinct = rng.integers(0, 1000, size=(int(rng.integers(1, n + 1)), dim))
+            pts = distinct[rng.integers(len(distinct), size=n)].astype(float)
+            dendrogram, _ = ward_cluster(pts, k=1)
+            expected = ward_naive(pts)
+            got = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
+            assert [(a, b, s) for a, b, _, s in got] == [(a, b, s) for a, b, _, s in expected]
+            for (_, _, cost, _), (_, _, ref_cost, _) in zip(got, expected):
+                assert cost == pytest.approx(ref_cost, rel=1e-9, abs=1e-9)
+            zero_cost_merges += sum(1 for m in dendrogram.merges if m.cost == 0.0)
+        assert zero_cost_merges >= 300
+
+    def test_peak_memory_quadratic(self):
+        n, dim = 600, 32
+        pts = planted_clusters(np.random.default_rng(600), n, dim)
+        tracemalloc.start()
+        try:
+            ward_cluster(pts, k=6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+    def test_overflowing_costs_rejected(self):
+        with pytest.raises(NonFiniteError):
+            ward_cluster([[1e200], [-1e200], [1e200]], k=1)
 
 
 class TestCompositionAudit:

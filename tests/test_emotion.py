@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from emocast.corpus import CharacterRecord, Gender
@@ -185,12 +185,23 @@ class TestSentiment:
         assert sentiment_of(primary(fear=0.6, joy=0.4)) is SentimentLabel.NEGATIVE
 
     @given(
-        st.lists(st.floats(0, 1, allow_nan=False), min_size=8, max_size=8),
-        st.floats(0.01, 100.0),
+        st.lists(st.integers(0, 40), min_size=8, max_size=8),
+        st.integers(1, 1000),
     )
+    @example(raw=[0] * 7 + [5e-324], factor=0.5)  # 5e-324 * 0.5 underflows to 0.0
+    @example(raw=[0.3, 0.2, 0, 0, 0.1, 0, 0, 0], factor=10)  # 0.1 + 0.2 > 0.3, 1.0 + 2.0 == 3.0
     def test_scale_invariant(self, raw, factor):
-        base = primary(**dict(zip(PRIMARY_EMOTIONS, raw)))
-        scaled = primary(**{name: val * factor for name, val in zip(PRIMARY_EMOTIONS, raw)})
+        # Stated over what the scorer produces: hit counts over their total.
+        # Scaling every count by a whole factor must not change the label.
+        # Scaled float vectors have no such property, as the pinned examples
+        # show, so inputs that are not whole counts are excluded.
+        assume(all(val == int(val) for val in raw) and factor == int(factor))
+        total = sum(raw)
+        assume(total > 0)
+        base = primary(**{name: val / total for name, val in zip(PRIMARY_EMOTIONS, raw)})
+        scaled = primary(
+            **{name: val * factor / (total * factor) for name, val in zip(PRIMARY_EMOTIONS, raw)}
+        )
         assert sentiment_of(base) is sentiment_of(scaled)
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from emocast.screenplay import (
     load_positional_blocks,
     load_text_blocks,
     normalize_character_name,
+    parse_script,
 )
 
 PROFILE = IndentProfile(10, 25, 38)
@@ -43,6 +45,27 @@ class TestInferIndentProfile:
     def test_empty_rejected(self):
         with pytest.raises(ProfileError):
             infer_indent_profile([])
+
+    def test_jittered_offsets_group_into_levels(self):
+        # raw counts would rank 250, 251 and 253 (all dialogue) as the top three
+        lefts = [250] * 6 + [251] * 5 + [253] * 5 + [254] * 2 + [108] * 3 + [110] + [396] * 4
+        assert infer_indent_profile(blocks_at(*lefts), tolerance=8) == IndentProfile(109, 252, 396)
+
+    def test_offsets_within_tolerance_are_one_level(self):
+        with pytest.raises(ProfileError):
+            infer_indent_profile(blocks_at(*([10] * 5 + [11] * 5 + [12] * 5)))
+
+
+def test_jittered_positional_script_parses_to_golden(fixtures_dir, tmp_path):
+    golden = json.loads((fixtures_dir / "golden" / "characters.json").read_text())["glass_orchard"]
+    lines = (fixtures_dir / "scripts" / "glass_orchard.jsonl").read_text().splitlines()
+    blocks = [json.loads(line) for line in lines if line.strip()]
+    rng = np.random.default_rng(5)
+    copy = tmp_path / "jittered.jsonl"
+    for _ in range(200):
+        jittered = [{**b, "left": b["left"] + int(rng.integers(-2, 3))} for b in blocks]
+        copy.write_text("".join(json.dumps(block) + "\n" for block in jittered))
+        assert filter_min_dialogues(parse_script(copy)) == golden
 
 
 class TestClassifyBlocks:
