@@ -30,7 +30,8 @@ class LengthError(EmocastError):
 
 
 class NonFiniteError(EmocastError):
-    """A statistical routine received NaN or infinite values."""
+    """A statistical routine received NaN or infinite values, or the t-SNE
+    descent produced them."""
 
 
 class DegenerateError(EmocastError):

@@ -10,8 +10,15 @@ iterations, 0.8 after) with per-coordinate gain adaptation and early
 exaggeration of the joint probabilities. Once exaggeration ends, each
 step is checked against the objective and rejected when it would raise
 it, with the step scale halved and then slowly recovered; that keeps the
-recorded KL trace monotone instead of merely usually-descending, at the
-cost of one extra objective evaluation per iteration.
+recorded KL trace monotone instead of merely usually-descending.
+
+The descent builds the n x n Student-t kernel once per new position, as
+``(num, num.sum())``, and both the gradient and the objective at that
+position read it: an accepted candidate's kernel, built to test the step,
+is the next gradient's kernel, and a rejected candidate leaves the current
+kernel in place. Kernels, the Gram product and the gradient weights live in
+three n x n buffers allocated once per run, so an iteration allocates no
+n x n temporaries beyond the masked copy the objective sums.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CalibrationError
+from .errors import CalibrationError, NonFiniteError
 
 ENTROPY_TOL = 1e-5
 MAX_SEARCH_STEPS = 50
@@ -47,6 +54,10 @@ class TsneConfig:
             raise ValueError("learning_rate must be positive")
         if self.early_exaggeration < 1:
             raise ValueError("early_exaggeration must be >= 1")
+        if self.iterations < 1:
+            raise ValueError("iterations must be >= 1")
+        if self.exaggeration_iters < 0:
+            raise ValueError("exaggeration_iters must be >= 0")
 
 
 @dataclass
@@ -55,9 +66,19 @@ class Embedding2D:
     kl_trace: list[float] = field(default_factory=list)
 
 
-def pairwise_sq_distances(points: np.ndarray) -> np.ndarray:
+def pairwise_sq_distances(
+    points: np.ndarray, out: np.ndarray | None = None, gram: np.ndarray | None = None
+) -> np.ndarray:
+    """Squared Euclidean distances from the Gram form, clipped at zero.
+
+    ``out`` receives the result and ``gram`` holds the doubled Gram product;
+    both are n x n float64 buffers, allocated when not given.
+    """
     sq = (points**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
+    d2 = np.add.outer(sq, sq, out=out)
+    # (2 points) @ points.T: doubling the product of points with itself
+    # instead lets numpy take the symmetric BLAS kernel, whose last bits differ.
+    d2 -= np.matmul(2.0 * points, points.T, out=gram)
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
@@ -114,26 +135,51 @@ def perplexity_calibration(distances: np.ndarray, perplexity: float) -> np.ndarr
     return P
 
 
-def _student_t_weights(coords: np.ndarray) -> np.ndarray:
-    num = 1.0 / (1.0 + pairwise_sq_distances(coords))
+def _student_t_kernel(
+    coords: np.ndarray, out: np.ndarray | None = None, gram: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
+    """Unnormalised low-dim similarities ``num`` (zero diagonal) and their sum.
+
+    Q is ``num / total``; a non-finite total means the coordinates are.
+    """
+    num = pairwise_sq_distances(coords, out, gram)
+    num += 1.0
+    np.divide(1.0, num, out=num)
     np.fill_diagonal(num, 0.0)
-    return num
+    return num, float(num.sum())
+
+
+def _kl(P_nz: np.ndarray, mask: np.ndarray, num: np.ndarray, total: float) -> float:
+    """KL(P || Q) over the support ``mask`` of P, given ``P_nz = P[mask]``."""
+    terms = num[mask]
+    terms /= total
+    np.maximum(terms, _EPS, out=terms)
+    np.divide(P_nz, terms, out=terms)
+    np.log(terms, out=terms)
+    terms *= P_nz
+    return float(terms.sum())
+
+
+def _gradient(
+    P: np.ndarray, coords: np.ndarray, num: np.ndarray, total: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """4 * sum_j (p_ij - q_ij) num_ij (y_i - y_j); ``out`` holds the weights."""
+    W = np.divide(num, total, out=out)
+    np.subtract(P, W, out=W)
+    W *= num
+    return 4.0 * (W.sum(axis=1)[:, None] * coords - W @ coords)
 
 
 def kl_divergence(P: np.ndarray, coords: np.ndarray) -> float:
     """KL(P || Q) of the joint distributions for an embedding state."""
-    num = _student_t_weights(coords)
-    Q = num / num.sum()
     mask = P > 0
-    return float((P[mask] * np.log(P[mask] / np.maximum(Q[mask], _EPS))).sum())
+    return _kl(P[mask], mask, *_student_t_kernel(coords))
 
 
 def kl_gradient(P: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Analytic gradient of kl_divergence with respect to the coordinates."""
-    num = _student_t_weights(coords)
-    Q = num / num.sum()
-    W = (P - Q) * num
-    return 4.0 * (W.sum(axis=1)[:, None] * coords - W @ coords)
+    return _gradient(P, coords, *_student_t_kernel(coords))
 
 
 def joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
@@ -149,7 +195,8 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
 
     The requested perplexity is clamped to (n - 1) / 3 when the input is
     small. KL against the true (unexaggerated) P is recorded every 50
-    iterations and at the final one.
+    iterations and at the final one. Raises NonFiniteError if the
+    embedding stops being finite (a learning rate far too large).
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
@@ -162,9 +209,28 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
 
     perplexity = min(config.perplexity, (n - 1) / 3.0)
     P = joint_probabilities(X, perplexity)
+    mask = P > 0
+    P_nz = P[mask]
+    P_exaggerated = P * config.early_exaggeration
+
+    # buffers[0] holds the kernel of Y, buffers[1] the candidate's; an
+    # accepted step swaps them. gram holds the Gram product while a kernel
+    # is built and the gradient weights while the gradient is.
+    buffers = [np.empty((n, n)), np.empty((n, n))]
+    gram = np.empty((n, n))
+
+    def kernel(coords: np.ndarray, out: np.ndarray, iteration: int) -> tuple[np.ndarray, float]:
+        num, total = _student_t_kernel(coords, out, gram)
+        if not math.isfinite(total):
+            raise NonFiniteError(
+                f"t-SNE iteration {iteration}: the embedding is no longer finite "
+                f"(learning_rate {config.learning_rate:g} may be too large)"
+            )
+        return num, total
 
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    Y_kernel: tuple[np.ndarray, float] | None = None
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     step_scale = 1.0
@@ -173,8 +239,9 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
 
     for iteration in range(1, config.iterations + 1):
         exaggerate = iteration <= config.exaggeration_iters
-        P_eff = P * config.early_exaggeration if exaggerate else P
-        grad = kl_gradient(P_eff, Y)
+        if Y_kernel is None:
+            Y_kernel = kernel(Y, buffers[0], iteration)
+        grad = _gradient(P_exaggerated if exaggerate else P, Y, *Y_kernel, out=gram)
 
         momentum = 0.5 if iteration <= MOMENTUM_SWITCH_ITER else 0.8
         same_direction = np.sign(grad) == np.sign(velocity)
@@ -185,22 +252,28 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
         candidate -= candidate.mean(axis=0)
 
         if exaggerate:
-            Y = candidate
+            Y, Y_kernel = candidate, None
         else:
             if current_kl is None:
-                current_kl = kl_divergence(P, Y)
-            candidate_kl = kl_divergence(P, candidate)
+                current_kl = _kl(P_nz, mask, *Y_kernel)
+            candidate_kernel = kernel(candidate, buffers[1], iteration)
+            candidate_kl = _kl(P_nz, mask, *candidate_kernel)
             if candidate_kl > current_kl:  # reject the uphill step
                 velocity[:] = 0.0
                 gains[:] = 1.0
                 step_scale = max(step_scale * 0.5, 1e-6)
             else:
-                Y = candidate
+                Y, Y_kernel = candidate, candidate_kernel
+                buffers.reverse()
                 current_kl = candidate_kl
                 step_scale = min(step_scale * 1.05, 1.0)
 
         if iteration % KL_RECORD_EVERY == 0 or iteration == config.iterations:
-            trace.append(current_kl if current_kl is not None else kl_divergence(P, Y))
+            if current_kl is None:  # still exaggerating: Y has no kernel yet
+                Y_kernel = kernel(Y, buffers[0], iteration)
+                trace.append(_kl(P_nz, mask, *Y_kernel))
+            else:
+                trace.append(current_kl)
 
     return Embedding2D(coords=Y, kl_trace=trace)
 

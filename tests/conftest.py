@@ -1,6 +1,12 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# No local example database and a derandomized search: every checkout runs
+# the same examples, so no outcome depends on what an earlier run stored.
+settings.register_profile("tier1", database=None, derandomize=True)
+settings.load_profile("tier1")
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "fixtures"

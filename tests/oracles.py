@@ -3,13 +3,22 @@
 These deliberately avoid the code paths under test: the U statistic comes
 from direct pair enumeration, Ward merges from full SSE recomputation (and,
 at sizes where that is too slow, from the first dense Ward kernel), the
-k-means optimum from exhaustive partition search, and silhouette from the
-textbook definition.
+k-means optimum from exhaustive partition search, silhouette from the
+textbook definition, and the t-SNE descent from the loop the package
+shipped first.
 """
 
 from itertools import product
 
 import numpy as np
+
+from emocast.tsne import (
+    KL_RECORD_EVERY,
+    MOMENTUM_SWITCH_ITER,
+    Embedding2D,
+    TsneConfig,
+    perplexity_calibration,
+)
 
 
 def mwu_brute(a, b):
@@ -161,3 +170,94 @@ def silhouette(points, labels):
         b = min(dists[labels == other].mean() for other in set(labels) - {labels[i]})
         scores.append((b - a) / max(a, b))
     return float(np.mean(scores))
+
+
+_TSNE_EPS = 1e-12
+
+
+def _sq_distances_reference(points):
+    sq = (points**2).sum(axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * points @ points.T
+    np.maximum(d2, 0.0, out=d2)
+    np.fill_diagonal(d2, 0.0)
+    return d2
+
+
+def _student_t_weights_reference(coords):
+    num = 1.0 / (1.0 + _sq_distances_reference(coords))
+    np.fill_diagonal(num, 0.0)
+    return num
+
+
+def kl_divergence_reference(P, coords):
+    num = _student_t_weights_reference(coords)
+    Q = num / num.sum()
+    mask = P > 0
+    return float((P[mask] * np.log(P[mask] / np.maximum(Q[mask], _TSNE_EPS))).sum())
+
+
+def kl_gradient_reference(P, coords):
+    num = _student_t_weights_reference(coords)
+    Q = num / num.sum()
+    W = (P - Q) * num
+    return 4.0 * (W.sum(axis=1)[:, None] * coords - W @ coords)
+
+
+def tsne_reference(points, config=TsneConfig()):
+    """The exact t-SNE descent the package shipped first.
+
+    Builds the Student-t kernel from scratch for every gradient and every
+    objective evaluation (twice per iteration once exaggeration ends) and
+    allocates fresh n x n temporaries for each, but its coordinates and KL
+    trace carry the exact bits the kernel-reusing descent must reproduce.
+    Only the perplexity calibration is shared with the package. Returns
+    ``(embedding, rejections)``, the second counting rejected uphill steps.
+    """
+    X = np.asarray(points, dtype=float)
+    n = X.shape[0]
+    perplexity = min(config.perplexity, (n - 1) / 3.0)
+    cond = perplexity_calibration(_sq_distances_reference(X), perplexity)
+    P = (cond + cond.T) / (2.0 * n)
+
+    rng = np.random.default_rng(config.seed)
+    Y = rng.normal(0.0, 1e-4, size=(n, 2))
+    velocity = np.zeros_like(Y)
+    gains = np.ones_like(Y)
+    step_scale = 1.0
+    current_kl = None
+    trace = []
+    rejections = 0
+
+    for iteration in range(1, config.iterations + 1):
+        exaggerate = iteration <= config.exaggeration_iters
+        P_eff = P * config.early_exaggeration if exaggerate else P
+        grad = kl_gradient_reference(P_eff, Y)
+
+        momentum = 0.5 if iteration <= MOMENTUM_SWITCH_ITER else 0.8
+        same_direction = np.sign(grad) == np.sign(velocity)
+        gains = np.where(same_direction, gains * 0.8, gains + 0.2)
+        np.maximum(gains, 0.01, out=gains)
+        velocity = momentum * velocity - config.learning_rate * step_scale * gains * grad
+        candidate = Y + velocity
+        candidate -= candidate.mean(axis=0)
+
+        if exaggerate:
+            Y = candidate
+        else:
+            if current_kl is None:
+                current_kl = kl_divergence_reference(P, Y)
+            candidate_kl = kl_divergence_reference(P, candidate)
+            if candidate_kl > current_kl:  # reject the uphill step
+                rejections += 1
+                velocity[:] = 0.0
+                gains[:] = 1.0
+                step_scale = max(step_scale * 0.5, 1e-6)
+            else:
+                Y = candidate
+                current_kl = candidate_kl
+                step_scale = min(step_scale * 1.05, 1.0)
+
+        if iteration % KL_RECORD_EVERY == 0 or iteration == config.iterations:
+            trace.append(current_kl if current_kl is not None else kl_divergence_reference(P, Y))
+
+    return Embedding2D(coords=Y, kl_trace=trace), rejections

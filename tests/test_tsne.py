@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from emocast.errors import NonFiniteError
 from emocast.tsne import (
     TsneConfig,
     joint_probabilities,
@@ -14,7 +15,7 @@ from emocast.tsne import (
     tsne,
 )
 
-from oracles import silhouette
+from oracles import silhouette, tsne_reference
 
 
 def two_blobs(n_per=10, separation=25.0, sigma=0.5, seed=0, dim=32):
@@ -159,6 +160,62 @@ class TestTsne:
         pts, _ = two_blobs(n_per=5, seed=4)
         emb = tsne(pts, TsneConfig(iterations=200, seed=2))
         assert all(value >= 0.0 for value in emb.kl_trace)
+
+    def test_diverging_descent_raises(self):
+        # A NaN objective compares as not uphill, so without the check the
+        # run returned all-NaN coordinates and a NaN final KL.
+        pts = np.random.default_rng(0).normal(size=(30, 8))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="learning_rate"):
+            tsne(pts, TsneConfig(learning_rate=1e300, iterations=300))
+
+    @pytest.mark.parametrize("field, value", [("iterations", 0), ("iterations", -1), ("exaggeration_iters", -1)])
+    def test_config_bounds_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TsneConfig(**{field: value})
+
+    def test_single_iteration_records_final_kl(self):
+        pts, _ = two_blobs(n_per=5, seed=4)
+        emb = tsne(pts, TsneConfig(iterations=1, seed=2))
+        assert len(emb.kl_trace) == 1 and emb.kl_trace[0] > 0.0
+
+
+def emotion_like(n, seed):
+    return np.random.default_rng(seed).random((n, 32))
+
+
+def assert_same_descent(points, config):
+    ours = tsne(points, config)
+    reference, rejections = tsne_reference(points, config)
+    assert np.array_equal(ours.coords, reference.coords)
+    assert ours.kl_trace == reference.kl_trace
+    return ours, rejections
+
+
+class TestMatchesReferenceDescent:
+    """The kernel-reusing descent against the first loop, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, seed, iterations",
+        [(20, s, 1000) for s in range(4)] + [(120, s, 1000) for s in range(2)] + [(300, 0, 1000), (300, 1, 400)],
+    )
+    def test_emotion_like_points(self, n, seed, iterations):
+        assert_same_descent(emotion_like(n, seed), TsneConfig(iterations=iterations, seed=seed))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_blobs_with_duplicates(self, seed):
+        pts, _ = two_blobs(n_per=15, seed=seed)
+        pts = np.vstack([pts, pts[:3]])
+        assert_same_descent(pts, TsneConfig(iterations=600, perplexity=8.0, seed=seed))
+
+    def test_rejected_steps(self):
+        _, rejections = assert_same_descent(emotion_like(60, 1), TsneConfig(seed=1))
+        assert rejections > 0
+
+    def test_exaggeration_covers_every_iteration(self):
+        config = TsneConfig(iterations=120, exaggeration_iters=200, seed=5)
+        emb, rejections = assert_same_descent(emotion_like(30, 5), config)
+        assert rejections == 0
+        assert len(emb.kl_trace) == 3  # iterations 50, 100 and the final 120
 
 
 class TestScatterSvg:
