@@ -4,86 +4,3 @@ character groups are written (rank tests, clustering, 2-D projection,
 exclusive vocabulary)."""
 
 __version__ = "0.1.0"
-
-from .clustering import (
-    CompositionRow,
-    Dendrogram,
-    KMeansResult,
-    Merge,
-    best_kmeans,
-    composition_audit,
-    elbow_detect,
-    kmeans,
-    sse_curve,
-    ward_cluster,
-)
-from .corpus import (
-    CharacterRecord,
-    Corpus,
-    CorpusSummary,
-    Gender,
-    assemble_corpus,
-    corpus_from_json,
-    corpus_to_json,
-    ingest_metadata,
-)
-from .emotion import (
-    DYADS,
-    EMOTION_COLUMNS,
-    PRIMARY_EMOTIONS,
-    CharacterEmotions,
-    EmotionLexicon,
-    PrimaryVector,
-    SentimentLabel,
-    aggregate_character,
-    agreement_matrix,
-    dyad_expand,
-    load_lexicon,
-    load_lexicon_file,
-    resolve_emotion_name,
-    score_dialogue,
-    sentiment_classifier,
-    sentiment_of,
-    tokenize,
-)
-from .lexical import (
-    FrequencyTable,
-    default_nouns,
-    default_stopwords,
-    exclusive_nouns,
-    group_frequencies,
-)
-from .pipeline import AnalysisReport, RunConfig, run_pipeline
-from .screenplay import (
-    BlockKind,
-    CharacterDictionary,
-    IndentProfile,
-    RawBlock,
-    build_character_dictionary,
-    classify_blocks,
-    filter_min_dialogues,
-    infer_indent_profile,
-    normalize_character_name,
-    parse_script,
-)
-from .stats import (
-    BatteryRow,
-    BoxSummary,
-    TimeBinRow,
-    UTestResult,
-    box_summary,
-    emotion_test_battery,
-    gender_distribution_over_time,
-    mann_whitney_u,
-    rank_with_ties,
-)
-from .tsne import (
-    Embedding2D,
-    TsneConfig,
-    joint_probabilities,
-    kl_divergence,
-    kl_gradient,
-    perplexity_calibration,
-    scatter_svg,
-    tsne,
-)

@@ -12,40 +12,44 @@ import sys
 from pathlib import Path
 
 from .errors import EmocastError
-from .pipeline import (
-    RunConfig,
-    load_config_file,
-    run_pipeline,
-    stage_cluster,
-    stage_parse,
-    stage_project,
-    stage_score,
-    stage_stats,
-    stage_words,
+from .pipeline import STAGES, RunConfig, load_config_file, run_pipeline
+
+
+def _parse_k(raw: str) -> int | str:
+    if raw == "auto":
+        return "auto"
+    return int(raw)
+
+
+def _parse_bool(raw: object) -> bool:
+    value = str(raw).lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected true or false, got {raw!r}")
+
+
+# (config key, RunConfig field, converter, help). Each key is also a flag:
+# "min_dialogues" is --min-dialogues. --strict takes no value.
+OPTIONS = (
+    ("scripts", "script_dir", Path, "directory of .txt / .jsonl scripts"),
+    ("metadata", "metadata_path", Path, "character metadata CSV"),
+    ("lexicon", "lexicon_path", Path, "word-affect lexicon TSV"),
+    ("out", "output_dir", Path, "output directory for artifacts"),
+    ("min_dialogues", "min_dialogues", int, "drop characters below this count (default 5)"),
+    ("k", "k", _parse_k, "cluster count, or 'auto' for elbow selection"),
+    ("seed", "seed", int, "random seed (default 42)"),
+    ("perplexity", "perplexity", float, "t-SNE perplexity (default 30)"),
+    ("bin_years", "bin_years", int, "width of release-year bins (default 5)"),
+    ("strict", "strict", _parse_bool, "treat stale stage inputs as errors instead of warnings"),
+    ("top_words", "top_words", int, "exclusive nouns listed per gender group (default 50)"),
 )
+REQUIRED = ("scripts", "metadata", "lexicon", "out")
 
-STAGES = {
-    "parse": stage_parse,
-    "score": stage_score,
-    "stats": stage_stats,
-    "cluster": stage_cluster,
-    "project": stage_project,
-    "words": stage_words,
-}
 
-_CONFIG_KEYS = {
-    "scripts": "script_dir",
-    "metadata": "metadata_path",
-    "lexicon": "lexicon_path",
-    "out": "output_dir",
-    "min_dialogues": "min_dialogues",
-    "k": "k",
-    "seed": "seed",
-    "perplexity": "perplexity",
-    "bin_years": "bin_years",
-    "strict": "strict",
-    "top_words": "top_words",
-}
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,85 +64,40 @@ def build_parser() -> argparse.ArgumentParser:
         help="pipeline stage to run, or run-all for the whole pipeline",
     )
     parser.add_argument("--config", type=Path, help="key=value config file")
-    parser.add_argument("--scripts", type=Path, help="directory of .txt / .jsonl scripts")
-    parser.add_argument("--metadata", type=Path, help="character metadata CSV")
-    parser.add_argument("--lexicon", type=Path, help="word-affect lexicon TSV")
-    parser.add_argument("--out", type=Path, help="output directory for artifacts")
-    parser.add_argument("--min-dialogues", type=int, help="drop characters below this count (default 5)")
-    parser.add_argument("--k", help="cluster count, or 'auto' for elbow selection")
-    parser.add_argument("--seed", type=int, help="random seed (default 42)")
-    parser.add_argument("--perplexity", type=float, help="t-SNE perplexity (default 30)")
-    parser.add_argument("--bin-years", type=int, help="width of release-year bins (default 5)")
-    parser.add_argument(
-        "--strict", action="store_true", default=None,
-        help="treat stale stage inputs as errors instead of warnings",
-    )
+    for key, _, _, help_text in OPTIONS:
+        if key == "strict":
+            parser.add_argument(_flag(key), action="store_true", default=None, help=help_text)
+        else:
+            parser.add_argument(_flag(key), help=help_text)
     return parser
 
 
-def _parse_k(raw: str) -> int | str:
-    if raw == "auto":
-        return "auto"
-    return int(raw)
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    values: dict[str, str] = {}
+    """Flags over config-file values, each through its converter."""
+    raw: dict[str, tuple[object, str]] = {}  # key -> (value, where it came from)
     if args.config is not None:
-        raw = load_config_file(args.config)
-        for key, value in raw.items():
-            if key not in _CONFIG_KEYS:
+        known = {key for key, *_ in OPTIONS}
+        for key, value in load_config_file(args.config).items():
+            if key not in known:
                 raise ValueError(f"{args.config}: unknown config key {key!r}")
-            values[_CONFIG_KEYS[key]] = value
-
-    def pick(flag: object, key: str) -> object:
-        return flag if flag is not None else values.get(key)
-
-    script_dir = pick(args.scripts, "script_dir")
-    metadata = pick(args.metadata, "metadata_path")
-    lexicon = pick(args.lexicon, "lexicon_path")
-    out = pick(args.out, "output_dir")
-    missing = [
-        name
-        for name, value in (
-            ("--scripts", script_dir),
-            ("--metadata", metadata),
-            ("--lexicon", lexicon),
-            ("--out", out),
-        )
-        if value is None
-    ]
+            raw[key] = (value, f"{args.config}: key {key!r}")
+    for key, *_ in OPTIONS:
+        flag = getattr(args, key)
+        if flag is not None:
+            raw[key] = (flag, _flag(key))
+    missing = [_flag(key) for key in REQUIRED if key not in raw]
     if missing:
         raise ValueError(f"missing required options: {', '.join(missing)}")
 
-    cfg = RunConfig(
-        script_dir=Path(script_dir),
-        metadata_path=Path(metadata),
-        lexicon_path=Path(lexicon),
-        output_dir=Path(out),
-    )
-    min_dialogues = pick(args.min_dialogues, "min_dialogues")
-    if min_dialogues is not None:
-        cfg.min_dialogues = int(min_dialogues)
-    k = pick(args.k, "k")
-    if k is not None:
-        cfg.k = _parse_k(str(k))
-    seed = pick(args.seed, "seed")
-    if seed is not None:
-        cfg.seed = int(seed)
-    perplexity = pick(args.perplexity, "perplexity")
-    if perplexity is not None:
-        cfg.perplexity = float(perplexity)
-    bin_years = pick(args.bin_years, "bin_years")
-    if bin_years is not None:
-        cfg.bin_years = int(bin_years)
-    strict = pick(args.strict, "strict")
-    if strict is not None:
-        cfg.strict = strict if isinstance(strict, bool) else str(strict).lower() in ("1", "true", "yes")
-    top_words = values.get("top_words")
-    if top_words is not None:
-        cfg.top_words = int(top_words)
-    return cfg
+    fields = {}
+    for key, field, convert, _ in OPTIONS:
+        if key in raw:
+            value, where = raw[key]
+            try:
+                fields[field] = convert(value)
+            except ValueError as exc:
+                raise ValueError(f"{where}: bad value {value!r}: {exc}") from None
+    return RunConfig(**fields)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -74,9 +74,10 @@ def ingest_metadata(text: str) -> MetadataMap:
     """Parse the metadata CSV into (movie, name) -> (gender, year).
 
     Character names pass through the same normalization as parsed cues so
-    the two sides join cleanly. Malformed rows, out-of-range years, and
-    duplicate (movie, character) pairs raise MetadataError with the
-    offending row number (header is row 1).
+    the two sides join cleanly. Malformed rows, out-of-range years,
+    duplicate (movie, character) pairs and rows whose year disagrees with
+    an earlier row of the same movie raise MetadataError with the offending
+    row number (header is row 1).
     """
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
@@ -86,6 +87,7 @@ def ingest_metadata(text: str) -> MetadataMap:
     if header != _HEADER:
         raise MetadataError(f"row 1: expected header {','.join(_HEADER)!r}")
     meta: MetadataMap = {}
+    movie_year: dict[str, tuple[int, int]] = {}  # movie -> (year, first row)
     for rownum, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -110,6 +112,11 @@ def ingest_metadata(text: str) -> MetadataMap:
             raise MetadataError(f"row {rownum}: year is not an integer: {year_text!r}") from None
         if not YEAR_MIN <= year <= YEAR_MAX:
             raise MetadataError(f"row {rownum}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        first_year, first_row = movie_year.setdefault(movie, (year, rownum))
+        if year != first_year:
+            raise MetadataError(
+                f"row {rownum}: year {year} for {movie!r} disagrees with {first_year} on row {first_row}"
+            )
         key = (movie, name)
         if key in meta:
             raise MetadataError(f"row {rownum}: duplicate entry for {movie!r} / {name!r}")
@@ -124,8 +131,8 @@ def assemble_corpus(
 ) -> Corpus:
     """Build CharacterRecords for every parsed character.
 
-    Characters absent from the metadata get Gender.UNKNOWN and the movie
-    year taken from that movie's first metadata row. A movie with no
+    Characters absent from the metadata get Gender.UNKNOWN and the movie's
+    year, on which ingest_metadata has made its rows agree. A movie with no
     metadata rows at all raises AssemblyError.
     """
     movie_year: dict[str, int] = {}

@@ -1,28 +1,29 @@
 """Plutchik emotion embeddings for dialogue.
 
 A dialogue is scored against a word-affect lexicon (NRC word-level TSV
-format) into a probability distribution over the eight primary emotions:
-every affect assignment of every matched token contributes one count, and
-counts are normalized so the vector sums to one. The eight primaries then
-expand to 32 dimensions through the 24 compound emotions (dyads) of the
-wheel, each scored as the arithmetic mean of its two constituents, e.g.
-envy is the mean of sadness and anger.
+format): every affect assignment of every matched token adds one to that
+primary's count. ``lexical.text_pass`` scores a whole corpus this way into
+an integer dialogue x 8 count matrix, tokenizing each dialogue once.
+``emotion_rows`` normalizes each count row to a distribution over the eight
+primaries and expands it to 32 dimensions through the 24 compound emotions
+(dyads) of the wheel, each scored as the arithmetic mean of its two
+constituents, e.g. envy is the mean of sadness and anger.
 
 Dialogues with no lexicon hit carry no affect evidence; they score as the
-all-zero vector and are excluded from per-character averages.
+all-zero row, and ``character_means`` leaves them out of per-character
+averages.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Sequence
 
-from .corpus import CharacterRecord
-from .errors import LengthError, LexiconError
+import numpy as np
+
+from .errors import LexiconError
 
 PRIMARY_EMOTIONS = (
     "anger",
@@ -34,9 +35,6 @@ PRIMARY_EMOTIONS = (
     "surprise",
     "trust",
 )
-
-POSITIVE_PRIMARIES = ("joy", "anticipation", "trust", "surprise")
-NEGATIVE_PRIMARIES = ("anger", "fear", "sadness", "disgust")
 
 # Sentiment columns of the NRC format; accepted in input, not scored here.
 _SENTIMENT_AFFECTS = ("positive", "negative")
@@ -68,19 +66,6 @@ DYADS: dict[str, tuple[str, str]] = {
     "dominance": ("anger", "trust"),
     "anxiety": ("anticipation", "fear"),
 }
-
-# "aggressiveness" appears as a synonym for the aggression dyad in some
-# report conventions; resolve it when reading external column names.
-DYAD_ALIASES = {"aggressiveness": "aggression"}
-
-
-def resolve_emotion_name(name: str) -> str:
-    """Canonical column name for ``name``, accepting known aliases."""
-    key = name.strip().lower()
-    key = DYAD_ALIASES.get(key, key)
-    if key not in EMOTION_COLUMNS:
-        raise KeyError(f"unknown emotion {name!r}")
-    return key
 
 # Canonical 32-column report order: primaries and dyads interleaved.
 EMOTION_COLUMNS = (
@@ -123,12 +108,6 @@ _PRIMARY_SET = frozenset(PRIMARY_EMOTIONS)
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:['’][^\W\d_]+)*")
 
 
-class SentimentLabel(Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    NEUTRAL = "neutral"
-
-
 @dataclass(frozen=True)
 class EmotionLexicon:
     """Word -> set of primary affects, plus a count of skipped phrase rows."""
@@ -136,38 +115,8 @@ class EmotionLexicon:
     entries: dict[str, frozenset[str]]
     skipped_phrases: int = 0
 
-    def affects(self, word: str) -> frozenset[str]:
-        return self.entries.get(word, frozenset())
-
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass(frozen=True)
-class PrimaryVector:
-    """Probability distribution over the eight primaries.
-
-    With at least one lexicon hit the scores sum to one; with none, every
-    score is zero and hit_count is zero.
-    """
-
-    anger: float = 0.0
-    anticipation: float = 0.0
-    disgust: float = 0.0
-    fear: float = 0.0
-    joy: float = 0.0
-    sadness: float = 0.0
-    surprise: float = 0.0
-    trust: float = 0.0
-    hit_count: int = 0
-
-    def score(self, emotion: str) -> float:
-        if emotion not in _PRIMARY_SET:
-            raise KeyError(f"not a primary emotion: {emotion!r}")
-        return getattr(self, emotion)
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in PRIMARY_EMOTIONS}
 
 
 def load_lexicon(text: str) -> EmotionLexicon:
@@ -216,129 +165,42 @@ def tokenize(dialogue: str) -> list[str]:
     return _TOKEN_RE.findall(dialogue.lower())
 
 
-def score_dialogue(dialogue: str, lexicon: EmotionLexicon) -> PrimaryVector:
-    """Count every affect assignment of every matched token, then normalize."""
-    counts: Counter[str] = Counter()
-    for token in tokenize(dialogue):
-        for affect in lexicon.affects(token):
-            counts[affect] += 1
-    total = sum(counts.values())
-    if total == 0:
-        return PrimaryVector()
-    return PrimaryVector(
-        hit_count=total,
-        **{name: counts[name] / total for name in PRIMARY_EMOTIONS},
-    )
+# Column j of EMOTION_COLUMNS is the mean of primaries _PAIRS[0, j] and
+# _PAIRS[1, j]. A primary is paired with itself: (x + x) / 2 == x exactly.
+_PAIRS = np.array(
+    [[PRIMARY_EMOTIONS.index(p) for p in DYADS.get(name, (name, name))] for name in EMOTION_COLUMNS]
+).T
 
 
-def dyad_expand(
-    pv: PrimaryVector,
-    table: Mapping[str, tuple[str, str]] = DYADS,
-) -> dict[str, float]:
-    """Expand to the 32-dim vector: primaries pass through, dyads average.
+def emotion_rows(counts: np.ndarray) -> np.ndarray:
+    """32-dim emotion rows, in EMOTION_COLUMNS order, from primary counts.
 
-    Output keys follow the canonical column order.
+    Each row of ``counts`` holds one dialogue's hits per primary, in
+    PRIMARY_EMOTIONS order. Primaries become fractions of the row total and
+    each dyad the mean of its two primaries; a row without hits stays zero.
     """
-    order = [name for name in EMOTION_COLUMNS if name in _PRIMARY_SET or name in table]
-    order += [name for name in table if name not in EMOTION_COLUMNS]
-    out: dict[str, float] = {}
-    for name in order:
-        if name in _PRIMARY_SET:
-            out[name] = pv.score(name)
-        else:
-            a, b = table[name]
-            out[name] = (pv.score(a) + pv.score(b)) / 2
-    return out
+    primaries = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
+    return (primaries[:, _PAIRS[0]] + primaries[:, _PAIRS[1]]) / 2
 
 
-def sentiment_of(pv: PrimaryVector) -> SentimentLabel:
-    """Positive, negative, or neutral by comparing the two emotion groups."""
-    if pv.hit_count == 0:
-        return SentimentLabel.NEUTRAL
-    pos = sum(pv.score(name) for name in POSITIVE_PRIMARIES)
-    neg = sum(pv.score(name) for name in NEGATIVE_PRIMARIES)
-    if pos > neg:
-        return SentimentLabel.POSITIVE
-    if neg > pos:
-        return SentimentLabel.NEGATIVE
-    return SentimentLabel.NEUTRAL
+def character_means(rows: np.ndarray, lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-character mean of its dialogues' emotion rows, and no-affect flags.
 
-
-def sentiment_classifier(lexicon: EmotionLexicon) -> Callable[[str], SentimentLabel]:
-    """Dialogue-level classifier backed by the lexicon.
-
-    Returns a plain ``dialogue -> SentimentLabel`` callable so that any
-    other classifier with the same shape (a neural model, a human labeler
-    replaying annotations) can stand in for it, e.g. when building the
-    agreement matrix.
+    ``rows`` lists each character's dialogues consecutively and ``lengths``
+    says how many each has. Zero-hit dialogues would dilute the
+    distribution with no evidence, so they are left out of the mean; a
+    character whose every dialogue is zero-hit gets the zero row and the
+    no-affect flag. The axis-0 sum adds rows in order, so a mean has the
+    bits of a running sum of Python floats divided by the hit count.
     """
-
-    def classify(dialogue: str) -> SentimentLabel:
-        return sentiment_of(score_dialogue(dialogue, lexicon))
-
-    return classify
-
-
-def agreement_matrix(
-    labelings: Mapping[str, Sequence[object]],
-) -> tuple[list[str], list[list[float]]]:
-    """Pairwise accuracy between label sequences over the same items.
-
-    Cell (i, j) is the fraction of positions where sequence i equals
-    sequence j, so the diagonal is 1.0 and the matrix is symmetric.
-    """
-    names = list(labelings)
-    sequences = [list(labelings[name]) for name in names]
-    if not sequences:
-        raise LengthError("no label sequences given")
-    length = len(sequences[0])
-    if length == 0:
-        raise LengthError("label sequences must be non-empty")
-    for name, seq in zip(names, sequences):
-        if len(seq) != length:
-            raise LengthError(f"sequence {name!r} has length {len(seq)}, expected {length}")
-    matrix = [
-        [sum(a == b for a, b in zip(seq_i, seq_j)) / length for seq_j in sequences]
-        for seq_i in sequences
-    ]
-    return names, matrix
-
-
-@dataclass(frozen=True)
-class CharacterEmotions:
-    """Per-character mean 32-dim vector over its affect-bearing dialogues."""
-
-    vector: dict[str, float]
-    no_affect: bool
-    scored_dialogues: int
-
-
-def aggregate_character(
-    record: CharacterRecord,
-    lexicon: EmotionLexicon,
-    table: Mapping[str, tuple[str, str]] = DYADS,
-) -> CharacterEmotions:
-    """Element-wise mean of the 32-dim vectors of dialogues with hits.
-
-    Zero-hit dialogues would dilute the distribution with no evidence, so
-    they are left out of the mean; a character whose every dialogue is
-    zero-hit gets the zero vector and the no_affect flag.
-    """
-    if not record.dialogues:
-        raise ValueError(f"character {record.name!r} has no dialogues")
-    vectors = [
-        dyad_expand(pv, table)
-        for pv in (score_dialogue(d, lexicon) for d in record.dialogues)
-        if pv.hit_count > 0
-    ]
-    if not vectors:
-        zero = dyad_expand(PrimaryVector(), table)
-        return CharacterEmotions(vector=zero, no_affect=True, scored_dialogues=0)
-    n = len(vectors)
-    mean = {name: sum(v[name] for v in vectors) / n for name in vectors[0]}
-    return CharacterEmotions(vector=mean, no_affect=False, scored_dialogues=n)
-
-
-def vector_row(vector: Mapping[str, float], columns: Iterable[str] = EMOTION_COLUMNS) -> list[float]:
-    """Flatten a named vector into the canonical column order."""
-    return [vector[name] for name in columns]
+    hit = rows.any(axis=1)
+    means = np.zeros((len(lengths), rows.shape[1]))
+    no_affect = np.ones(len(lengths), dtype=bool)
+    start = 0
+    for i, length in enumerate(lengths):
+        scored = rows[start : start + length][hit[start : start + length]]
+        start += length
+        if len(scored):
+            means[i] = scored.sum(axis=0) / len(scored)
+            no_affect[i] = False
+    return means, no_affect

@@ -25,10 +25,6 @@ class LexiconError(EmocastError):
     """Malformed row in the affect lexicon TSV."""
 
 
-class LengthError(EmocastError):
-    """Label sequences being compared do not have equal length."""
-
-
 class NonFiniteError(EmocastError):
     """A statistical routine received NaN or infinite values, or the t-SNE
     descent produced them."""

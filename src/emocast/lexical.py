@@ -1,10 +1,12 @@
-"""Word-usage contrast between gender groups.
+"""The text layer: one pass over a corpus's dialogue, and word contrasts.
 
-Counts tokens per group with stopwords removed, restricts to nouns via a
-bundled word list (no tagger dependency, fully deterministic), and drops
-every noun both groups use so only the distinctive vocabulary remains.
-Both resource files are plain newline-delimited text and can be swapped
-out by the caller.
+``text_pass`` tokenizes every dialogue exactly once. From that pass come
+both the dialogue x 8 primary-count matrix the emotion vectors are built
+from and the word counts per gender group, with stopwords removed. The
+word contrast restricts those counts to nouns via a bundled word list (no
+tagger dependency, fully deterministic) and drops every noun both groups
+use so only the distinctive vocabulary remains. Both resource files are
+plain newline-delimited text and can be swapped out by the caller.
 """
 
 from __future__ import annotations
@@ -13,10 +15,12 @@ from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .corpus import Corpus, Gender
-from .emotion import tokenize
+import numpy as np
+
+from .corpus import Corpus
+from .emotion import PRIMARY_EMOTIONS, EmotionLexicon, tokenize
 
 MIN_TOKEN_LEN = 2
 GROUPS = ("female", "male")
@@ -27,6 +31,14 @@ class FrequencyTable:
     """Per-group word counts: group label -> Counter of lowercase words."""
 
     counts: dict[str, Counter]
+
+
+@dataclass(frozen=True)
+class TextPass:
+    """Primary-affect counts per dialogue, in corpus order, and word counts."""
+
+    counts: np.ndarray  # int64, dialogues x PRIMARY_EMOTIONS
+    words: FrequencyTable
 
 
 def load_word_list(text: str) -> set[str]:
@@ -55,24 +67,32 @@ def load_word_list_file(path: str | Path) -> set[str]:
     return load_word_list(Path(path).read_text(encoding="utf-8"))
 
 
-def group_frequencies(
-    corpus: Corpus,
-    stopwords: set[str],
-    tokenizer: Callable[[str], list[str]] = tokenize,
-) -> FrequencyTable:
-    """Token counts per gender group; UNKNOWN characters belong to neither."""
-    counts = {group: Counter() for group in GROUPS}
-    group_of = {Gender.FEMALE: "female", Gender.MALE: "male"}
+def text_pass(corpus: Corpus, lexicon: EmotionLexicon, stopwords: set[str]) -> TextPass:
+    """Tokenize each dialogue once; count its primary affects and its words.
+
+    Every affect assignment of every matched token adds one to that
+    primary's count. Words are counted per gender group, without stopwords
+    or tokens shorter than MIN_TOKEN_LEN; UNKNOWN characters belong to
+    neither group.
+    """
+    column = {affect: j for j, affect in enumerate(PRIMARY_EMOTIONS)}
+    words = {group: Counter() for group in GROUPS}
+    rows = []
     for rec in corpus.records:
-        group = group_of.get(rec.gender)
-        if group is None:
-            continue
-        counter = counts[group]
+        counter = words.get(rec.gender.value)
         for dialogue in rec.dialogues:
-            for token in tokenizer(dialogue):
-                if len(token) >= MIN_TOKEN_LEN and token not in stopwords:
-                    counter[token] += 1
-    return FrequencyTable(counts=counts)
+            tokens = tokenize(dialogue)
+            row = [0] * len(PRIMARY_EMOTIONS)
+            for token in tokens:
+                for affect in lexicon.entries.get(token, ()):
+                    row[column[affect]] += 1
+            rows.append(row)
+            if counter is not None:
+                counter.update(
+                    [token for token in tokens if len(token) >= MIN_TOKEN_LEN and token not in stopwords]
+                )
+    counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(PRIMARY_EMOTIONS))
+    return TextPass(counts=counts, words=FrequencyTable(counts=words))
 
 
 def exclusive_nouns(

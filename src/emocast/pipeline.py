@@ -1,10 +1,14 @@
 """End-to-end analysis pipeline and its persisted artifacts.
 
-Each stage reads the persisted outputs of the one before it, so expensive
-stages can be rerun on their own. Artifact bytes are deterministic for a
-fixed config and inputs: rows are sorted, floats use their shortest repr,
-and every CSV uses "\\n" line endings. Only report.json carries a
-timestamp.
+Each stage takes its inputs as arguments and writes its artifacts.
+``run_pipeline`` hands each stage's results to the next in memory, so a
+run loads the lexicon once and tokenizes each dialogue once. The staged
+commands in ``STAGES`` load the same inputs from the artifacts of the
+earlier stages instead, after a staleness check, so an expensive stage can
+be rerun on its own; both routes write the same bytes. Artifact bytes are
+deterministic for a fixed config and inputs: rows are sorted, floats use
+their shortest repr, and every CSV uses "\\n" line endings. Only
+report.json carries a timestamp.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,17 +42,9 @@ from .corpus import (
     corpus_to_json,
     ingest_metadata,
 )
-from .emotion import (
-    EMOTION_COLUMNS,
-    EmotionLexicon,
-    aggregate_character,
-    dyad_expand,
-    load_lexicon_file,
-    score_dialogue,
-    vector_row,
-)
+from .emotion import EMOTION_COLUMNS, EmotionLexicon, character_means, emotion_rows, load_lexicon_file
 from .errors import CurveError, EmocastError, MetadataError, StaleInputError
-from .lexical import default_nouns, default_stopwords, exclusive_nouns, group_frequencies
+from .lexical import FrequencyTable, default_nouns, default_stopwords, exclusive_nouns, text_pass
 from .screenplay import filter_min_dialogues, parse_script
 from .stats import emotion_test_battery, gender_distribution_over_time
 from .tsne import Embedding2D, TsneConfig, scatter_svg, tsne
@@ -56,6 +52,7 @@ from .tsne import Embedding2D, TsneConfig, scatter_svg, tsne
 SCRIPT_SUFFIXES = (".txt", ".jsonl", ".json")
 DEFAULT_TOP_WORDS = 50
 K_MAX_DEFAULT = 10
+EMOTIONS_HEADER = ["movie", "name", "gender", *EMOTION_COLUMNS, "no_affect", "dialogue_count"]
 
 
 @dataclass
@@ -106,6 +103,20 @@ class AnalysisReport:
     projection: list[dict]
     words: dict
     run: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class CharacterTable:
+    """Per-character mean emotion rows, as emotions.csv holds them."""
+
+    keys: list[tuple[str, str, str]]  # (movie, name, gender)
+    vectors: np.ndarray  # characters x EMOTION_COLUMNS
+    no_affect: np.ndarray  # bool per character
+
+    def with_affect(self) -> tuple[np.ndarray, list[tuple[str, str, str]]]:
+        """The rows and keys of the characters with affect evidence."""
+        keep = ~self.no_affect
+        return self.vectors[keep], [key for key, kept in zip(self.keys, keep.tolist()) if kept]
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -221,82 +232,67 @@ def stage_parse(cfg: RunConfig) -> Corpus:
     return corpus
 
 
-def stage_score(cfg: RunConfig) -> list[dict]:
-    """Aggregate per-character 32-dim emotion vectors into emotions.csv."""
-    corpus = _load_corpus(cfg, "score")
-    lexicon = _load_lexicon(cfg)
-    rows = []
-    for rec in corpus.records:
-        agg = aggregate_character(rec, lexicon)
-        rows.append(
-            {
-                "movie": rec.movie,
-                "name": rec.name,
-                "gender": rec.gender.value,
-                "vector": agg.vector,
-                "no_affect": agg.no_affect,
-                "dialogue_count": len(rec.dialogues),
-            }
-        )
+def _score_text(cfg: RunConfig, corpus: Corpus) -> tuple[np.ndarray, FrequencyTable]:
+    """Emotion rows of every dialogue, in corpus order, and the group word counts."""
+    scored = text_pass(corpus, _load_lexicon(cfg), default_stopwords())
+    return emotion_rows(scored.counts), scored.words
+
+
+def stage_score(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, np.ndarray, FrequencyTable]:
+    """Score the corpus text once; write per-character means to emotions.csv.
+
+    Returns the character table, the dialogue emotion rows and the word
+    counts, the inputs of the stats, cluster, project and words stages.
+    """
+    rows, words = _score_text(cfg, corpus)
+    means, no_affect = character_means(rows, [len(rec.dialogues) for rec in corpus.records])
+    table = CharacterTable(
+        keys=[(rec.movie, rec.name, rec.gender.value) for rec in corpus.records],
+        vectors=means,
+        no_affect=no_affect,
+    )
+    # .tolist() hands _fmt Python floats and bools, whose repr and type the CSV relies on
     _write_csv(
         cfg.output_dir / "emotions.csv",
-        ["movie", "name", "gender", *EMOTION_COLUMNS, "no_affect", "dialogue_count"],
+        EMOTIONS_HEADER,
         [
-            [
-                row["movie"],
-                row["name"],
-                row["gender"],
-                *vector_row(row["vector"]),
-                row["no_affect"],
-                row["dialogue_count"],
-            ]
-            for row in rows
+            [*key, *vector, flag, len(rec.dialogues)]
+            for key, vector, flag, rec in zip(table.keys, means.tolist(), no_affect.tolist(), corpus.records)
         ],
     )
-    flagged = sum(row["no_affect"] for row in rows)
-    print(f"[score] {len(rows)} characters scored, {flagged} with no affect evidence")
-    return rows
+    print(f"[score] {len(corpus.records)} characters scored, {int(no_affect.sum())} with no affect evidence")
+    return table, rows, words
 
 
-def _load_emotion_rows(cfg: RunConfig, stage: str) -> list[dict]:
+def _load_characters(cfg: RunConfig, stage: str) -> CharacterTable:
     artifact = cfg.output_dir / "emotions.csv"
     _check_fresh(cfg, artifact, [cfg.output_dir / "corpus.json", cfg.lexicon_path], stage)
-    rows = []
     with artifact.open(encoding="utf-8", newline="") as fh:
-        for record in csv.DictReader(fh):
-            rows.append(
-                {
-                    "movie": record["movie"],
-                    "name": record["name"],
-                    "gender": record["gender"],
-                    "vector": {name: float(record[name]) for name in EMOTION_COLUMNS},
-                    "no_affect": record["no_affect"] == "true",
-                    "dialogue_count": int(record["dialogue_count"]),
-                }
-            )
-    return rows
+        reader = csv.reader(fh)
+        if next(reader, None) != EMOTIONS_HEADER:
+            raise ValueError(f"{stage}: {artifact.name} does not have the emotions.csv columns")
+        keys, vectors, no_affect = [], [], []
+        for rec in reader:
+            keys.append((rec[0], rec[1], rec[2]))
+            # float(repr(x)) == x, so these are the bits stage_score computed
+            vectors.append([float(cell) for cell in rec[3:-2]])
+            no_affect.append(rec[-2] == "true")
+    return CharacterTable(
+        keys=keys,
+        vectors=np.array(vectors).reshape(len(keys), len(EMOTION_COLUMNS)),
+        no_affect=np.array(no_affect, dtype=bool),
+    )
 
 
-def _dialogue_matrix(corpus: Corpus, lexicon: EmotionLexicon) -> tuple[np.ndarray, list[str]]:
-    """One 32-dim row per dialogue of every gendered character."""
-    vectors = []
-    labels = []
-    for rec in corpus.records:
-        if rec.gender is Gender.UNKNOWN:
-            continue
-        for dialogue in rec.dialogues:
-            vectors.append(vector_row(dyad_expand(score_dialogue(dialogue, lexicon))))
-            labels.append(rec.gender.value)
-    matrix = np.asarray(vectors, dtype=float) if vectors else np.empty((0, len(EMOTION_COLUMNS)))
-    return matrix, labels
+def stage_stats(cfg: RunConfig, corpus: Corpus, rows: np.ndarray) -> tuple[list[dict], list[dict]]:
+    """Dialogue-level U-test battery plus the release-year gender table.
 
-
-def stage_stats(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
-    """Dialogue-level U-test battery plus the release-year gender table."""
-    corpus = _load_corpus(cfg, "stats")
-    lexicon = _load_lexicon(cfg)
-    matrix, labels = _dialogue_matrix(corpus, lexicon)
-    battery = emotion_test_battery(matrix, labels)
+    ``rows`` holds the emotion row of every dialogue in corpus order; the
+    battery reads those of female and male characters.
+    """
+    labels = np.array([rec.gender.value for rec in corpus.records for _ in rec.dialogues], dtype=str)
+    gendered = labels != Gender.UNKNOWN.value
+    battery = emotion_test_battery(rows[gendered], labels[gendered])
     test_rows = []
     for row in battery:
         if row.result is None:
@@ -343,16 +339,9 @@ def stage_stats(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
     return test_rows, bin_rows
 
 
-def _affect_matrix(rows: list[dict]) -> tuple[np.ndarray, list[dict]]:
-    kept = [row for row in rows if not row["no_affect"]]
-    matrix = np.asarray([vector_row(row["vector"]) for row in kept], dtype=float)
-    return matrix, kept
-
-
-def stage_cluster(cfg: RunConfig) -> dict:
+def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     """K-means and Ward assignments, elbow curve, and the gender audit."""
-    rows = _load_emotion_rows(cfg, "cluster")
-    matrix, kept = _affect_matrix(rows)
+    matrix, kept = characters.with_affect()
     n = len(kept)
     if n < 2:
         raise ValueError(f"cluster: need at least 2 characters with affect, have {n}")
@@ -378,7 +367,7 @@ def stage_cluster(cfg: RunConfig) -> dict:
         km = best_kmeans(matrix, chosen_k, cfg.seed)
     _, ward_assign = ward_cluster(matrix, chosen_k)
 
-    genders = [row["gender"] for row in kept]
+    genders = [gender for _, _, gender in kept]
     female = sum(1 for g in genders if g == "female")
     male = sum(1 for g in genders if g == "male")
     audits = {
@@ -390,8 +379,8 @@ def stage_cluster(cfg: RunConfig) -> dict:
         cfg.output_dir / "clusters.csv",
         ["movie", "name", "gender", "kmeans_cluster", "ward_cluster"],
         [
-            [row["movie"], row["name"], row["gender"], km.assignments[i], ward_assign[i]]
-            for i, row in enumerate(kept)
+            [*key, km.assignments[i], ward_assign[i]]
+            for i, key in enumerate(kept)
         ],
     )
     _write_csv(
@@ -404,7 +393,7 @@ def stage_cluster(cfg: RunConfig) -> dict:
         ],
     )
     _write_csv(cfg.output_dir / "ssecurve.csv", ["k", "sse"], [[k, s] for k, s in curve])
-    excluded = len(rows) - n
+    excluded = len(characters.keys) - n
     print(f"[cluster] k={chosen_k} ({'elbow' if auto else 'fixed'}), {n} characters, {excluded} no-affect excluded")
     return {
         "k": chosen_k,
@@ -414,13 +403,13 @@ def stage_cluster(cfg: RunConfig) -> dict:
         "excluded_no_affect": excluded,
         "assignments": [
             {
-                "movie": row["movie"],
-                "name": row["name"],
-                "gender": row["gender"],
+                "movie": movie,
+                "name": name,
+                "gender": gender,
                 "kmeans": km.assignments[i],
                 "ward": ward_assign[i],
             }
-            for i, row in enumerate(kept)
+            for i, (movie, name, gender) in enumerate(kept)
         ],
         "composition": {
             method: [
@@ -439,22 +428,21 @@ def stage_cluster(cfg: RunConfig) -> dict:
     }
 
 
-def stage_project(cfg: RunConfig) -> list[dict]:
+def stage_project(cfg: RunConfig, characters: CharacterTable) -> list[dict]:
     """t-SNE scatter of the character emotion vectors."""
-    rows = _load_emotion_rows(cfg, "project")
-    matrix, kept = _affect_matrix(rows)
+    matrix, kept = characters.with_affect()
     if len(kept) < 5:
         raise ValueError(f"project: t-SNE needs at least 5 characters with affect, have {len(kept)}")
     embedding: Embedding2D = tsne(matrix, TsneConfig(perplexity=cfg.perplexity, seed=cfg.seed))
     out_rows = [
         {
-            "movie": row["movie"],
-            "name": row["name"],
-            "gender": row["gender"],
+            "movie": movie,
+            "name": name,
+            "gender": gender,
             "x": float(embedding.coords[i, 0]),
             "y": float(embedding.coords[i, 1]),
         }
-        for i, row in enumerate(kept)
+        for i, (movie, name, gender) in enumerate(kept)
     ]
     _write_csv(
         cfg.output_dir / "tsne.csv",
@@ -462,18 +450,16 @@ def stage_project(cfg: RunConfig) -> list[dict]:
         [[r["movie"], r["name"], r["gender"], r["x"], r["y"]] for r in out_rows],
     )
     (cfg.output_dir / "tsne.svg").write_text(
-        scatter_svg(embedding.coords, [row["gender"] for row in kept]),
+        scatter_svg(embedding.coords, [gender for _, _, gender in kept]),
         encoding="utf-8",
     )
     print(f"[project] {len(kept)} characters embedded, final KL {embedding.kl_trace[-1]:.4f}")
     return out_rows
 
 
-def stage_words(cfg: RunConfig) -> dict:
+def stage_words(cfg: RunConfig, words: FrequencyTable) -> dict:
     """Exclusive noun lists per gender for word-cloud consumption."""
-    corpus = _load_corpus(cfg, "words")
-    freq = group_frequencies(corpus, default_stopwords())
-    contrasts = exclusive_nouns(freq, default_nouns(), cfg.top_words)
+    contrasts = exclusive_nouns(words, default_nouns(), cfg.top_words)
     rows = []
     for group in sorted(contrasts):
         for rank, (word, count) in enumerate(contrasts[group], start=1):
@@ -488,15 +474,32 @@ def stage_words(cfg: RunConfig) -> dict:
     }
 
 
+def _staged_stats(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
+    corpus = _load_corpus(cfg, "stats")
+    return stage_stats(cfg, corpus, _score_text(cfg, corpus)[0])
+
+
+# Each staged command: its inputs loaded from the artifacts, then the stage.
+STAGES: dict[str, Callable[[RunConfig], object]] = {
+    "parse": stage_parse,
+    "score": lambda cfg: stage_score(cfg, _load_corpus(cfg, "score")),
+    "stats": _staged_stats,
+    "cluster": lambda cfg: stage_cluster(cfg, _load_characters(cfg, "cluster")),
+    "project": lambda cfg: stage_project(cfg, _load_characters(cfg, "project")),
+    "words": lambda cfg: stage_words(cfg, _score_text(cfg, _load_corpus(cfg, "words"))[1]),
+}
+
+
 def run_pipeline(cfg: RunConfig) -> AnalysisReport:
-    """All six stages in order, then report.json tying the results together."""
+    """All six stages in order, each handed the last one's results, then
+    report.json tying the results together."""
     cfg.validate()
     corpus = stage_parse(cfg)
-    stage_score(cfg)
-    tests, timebins = stage_stats(cfg)
-    clusters = stage_cluster(cfg)
-    projection = stage_project(cfg)
-    words = stage_words(cfg)
+    characters, rows, word_counts = stage_score(cfg, corpus)
+    tests, timebins = stage_stats(cfg, corpus, rows)
+    clusters = stage_cluster(cfg, characters)
+    projection = stage_project(cfg, characters)
+    words = stage_words(cfg, word_counts)
 
     s = corpus.summary()
     report = AnalysisReport(

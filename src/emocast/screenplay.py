@@ -262,12 +262,3 @@ def parse_script(path: str | Path, mode: str | None = None) -> CharacterDictiona
     profile = infer_indent_profile(blocks, tolerance)
     return build_character_dictionary(classify_blocks(blocks, profile, tolerance))
 
-
-def character_dictionary_to_json(entries: CharacterDictionary) -> str:
-    """Serialize with sorted keys so equal dictionaries give equal bytes."""
-    return json.dumps(entries, indent=2, sort_keys=True, ensure_ascii=True) + "\n"
-
-
-def character_dictionary_from_json(text: str) -> CharacterDictionary:
-    data = json.loads(text)
-    return {str(name): [str(d) for d in dialogues] for name, dialogues in data.items()}

@@ -32,18 +32,6 @@ class UTestResult:
 
 
 @dataclass(frozen=True)
-class BoxSummary:
-    """Five-number summary with whiskers at 1.5 IQR and explicit outliers."""
-
-    min: float
-    q1: float
-    median: float
-    q3: float
-    max: float
-    outliers: list[float]
-
-
-@dataclass(frozen=True)
 class TimeBinRow:
     """Character counts for one release-year bin; pct is female/(female+male)."""
 
@@ -116,31 +104,6 @@ def mann_whitney_u(group_a: Sequence[float], group_b: Sequence[float]) -> UTestR
     z = math.copysign(shrunk / sigma, diff) if shrunk > 0 else 0.0
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return UTestResult(u1=u1, u2=u2, z=z, p_value=p, n1=n1, n2=n2)
-
-
-def box_summary(values: Sequence[float]) -> BoxSummary:
-    """Quartiles by linear interpolation; outliers beyond 1.5 IQR fences.
-
-    min and max are whisker ends over the non-outlier values; when every
-    non-outlier sits inside the box (possible on tiny samples, since the
-    quartiles are interpolated) the whisker clamps to the box edge, the
-    usual plotting convention.
-    """
-    arr = _as_finite_array(values, "box_summary")
-    q1, median, q3 = (float(q) for q in np.percentile(arr, [25.0, 50.0, 75.0]))
-    iqr = q3 - q1
-    lo, hi = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    inlier_mask = (arr >= lo) & (arr <= hi)
-    outliers = sorted(float(v) for v in arr[~inlier_mask])
-    inliers = arr[inlier_mask]
-    return BoxSummary(
-        min=min(float(inliers.min()), q1),
-        q1=q1,
-        median=median,
-        q3=q3,
-        max=max(float(inliers.max()), q3),
-        outliers=outliers,
-    )
 
 
 def gender_distribution_over_time(corpus: Corpus, bin_width: int = 5) -> list[TimeBinRow]:

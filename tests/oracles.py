@@ -4,14 +4,17 @@ These deliberately avoid the code paths under test: the U statistic comes
 from direct pair enumeration, Ward merges from full SSE recomputation (and,
 at sizes where that is too slow, from the first dense Ward kernel), the
 k-means optimum from exhaustive partition search, silhouette from the
-textbook definition, and the t-SNE descent from the loop the package
+textbook definition, the t-SNE descent from the loop the package shipped
+first, and dialogue emotions from the per-dialogue dict path the package
 shipped first.
 """
 
+from collections import Counter
 from itertools import product
 
 import numpy as np
 
+from emocast.emotion import DYADS, EMOTION_COLUMNS, PRIMARY_EMOTIONS, tokenize
 from emocast.tsne import (
     KL_RECORD_EVERY,
     MOMENTUM_SWITCH_ITER,
@@ -261,3 +264,47 @@ def tsne_reference(points, config=TsneConfig()):
             trace.append(current_kl if current_kl is not None else kl_divergence_reference(P, Y))
 
     return Embedding2D(coords=Y, kl_trace=trace), rejections
+
+
+def score_dialogue_reference(dialogue, lexicon):
+    """Primary name -> share of the dialogue's affect hits, and the hit count."""
+    counts = Counter()
+    for token in tokenize(dialogue):
+        for affect in lexicon.entries.get(token, ()):
+            counts[affect] += 1
+    total = sum(counts.values())
+    if total == 0:
+        return {name: 0.0 for name in PRIMARY_EMOTIONS}, 0
+    return {name: counts[name] / total for name in PRIMARY_EMOTIONS}, total
+
+
+def dyad_expand_reference(scores):
+    """Emotion name -> value in EMOTION_COLUMNS order; a dyad averages its pair."""
+    return {
+        name: scores[name] if name in scores else (scores[DYADS[name][0]] + scores[DYADS[name][1]]) / 2
+        for name in EMOTION_COLUMNS
+    }
+
+
+def aggregate_character_reference(dialogues, lexicon):
+    """(mean 32-dim dict over the dialogues with hits, no_affect flag)."""
+    vectors = []
+    for dialogue in dialogues:
+        scores, hits = score_dialogue_reference(dialogue, lexicon)
+        if hits:
+            vectors.append(dyad_expand_reference(scores))
+    if not vectors:
+        return {name: 0.0 for name in EMOTION_COLUMNS}, True
+    return {name: sum(v[name] for v in vectors) / len(vectors) for name in EMOTION_COLUMNS}, False
+
+
+def group_frequencies_reference(corpus, stopwords, min_len=2):
+    """Group label -> Counter of the tokens of its characters' dialogues."""
+    counts = {"female": Counter(), "male": Counter()}
+    for rec in corpus.records:
+        if rec.gender.value in counts:
+            for dialogue in rec.dialogues:
+                for token in tokenize(dialogue):
+                    if len(token) >= min_len and token not in stopwords:
+                        counts[rec.gender.value][token] += 1
+    return counts

@@ -15,13 +15,9 @@ import pytest
 
 from emocast.cli import main as cli_main
 from emocast.clustering import elbow_detect, kmeans, sse_curve, ward_cluster
-from emocast.emotion import (
-    DYADS,
-    EMOTION_COLUMNS,
-    PRIMARY_EMOTIONS,
-    dyad_expand,
-    score_dialogue,
-)
+from emocast.corpus import CharacterRecord, Corpus, Gender
+from emocast.emotion import DYADS, EMOTION_COLUMNS, PRIMARY_EMOTIONS, emotion_rows
+from emocast.lexical import text_pass
 from emocast.stats import mann_whitney_u
 from emocast.tsne import (
     TsneConfig,
@@ -92,17 +88,21 @@ def test_03_emotion_embedding_fixture(fixture_lexicon):
         dialogues = [
             " ".join(rnd.choice(words) for _ in range(rnd.randint(1, 12))) for _ in range(200)
         ]
-        scored = 0
-        for dialogue in dialogues:
-            pv = score_dialogue(dialogue, fixture_lexicon)
-            vec = dyad_expand(pv)
-            if pv.hit_count > 0:
-                scored += 1
-                assert abs(sum(pv.as_dict().values()) - 1.0) < 1e-9
-            for name, (a, b) in DYADS.items():
-                assert vec[name] == (pv.score(a) + pv.score(b)) / 2
-            assert vec["envy"] == (pv.sadness + pv.anger) / 2
-        assert scored > 150  # the fixture is lexicon-dense by construction
+        speaker = CharacterRecord(
+            name="X", movie="m", year=2000, gender=Gender.FEMALE, dialogues=tuple(dialogues)
+        )
+        counts = text_pass(Corpus(records=[speaker], provenance={}), fixture_lexicon, set()).counts
+        rows = emotion_rows(counts)
+        assert rows.shape == (200, 32)
+        col = {name: j for j, name in enumerate(EMOTION_COLUMNS)}
+        primaries = rows[:, [col[name] for name in PRIMARY_EMOTIONS]]
+        hit = counts.sum(axis=1) > 0
+        assert np.all(np.abs(primaries[hit].sum(axis=1) - 1.0) < 1e-9)
+        assert not rows[~hit].any()
+        for name, (a, b) in DYADS.items():
+            assert np.array_equal(rows[:, col[name]], (rows[:, col[a]] + rows[:, col[b]]) / 2)
+        assert np.array_equal(rows[:, col["envy"]], (rows[:, col["sadness"]] + rows[:, col["anger"]]) / 2)
+        assert hit.sum() > 150  # the fixture is lexicon-dense by construction
 
 
 def test_04_dyad_table_structure():

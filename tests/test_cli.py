@@ -5,6 +5,10 @@ import time
 
 import pytest
 
+import emocast.corpus
+import emocast.emotion
+import emocast.lexical
+import emocast.pipeline
 from emocast.cli import main
 from emocast.clustering import best_kmeans
 from emocast.emotion import EMOTION_COLUMNS
@@ -93,6 +97,27 @@ class TestStagedRuns:
 
 
 class TestRunAll:
+    def test_text_read_and_scored_once(self, fixture_args, monkeypatch):
+        calls = {"load_lexicon": 0, "tokenize": 0, "corpus_from_json": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(emocast.emotion, "load_lexicon")
+        counted(emocast.lexical, "tokenize")
+        counted(emocast.corpus, "corpus_from_json")
+        counted(emocast.pipeline, "corpus_from_json")
+        args, out = fixture_args
+        assert run_cli("run-all", *args) == 0
+        dialogues = json.loads((out / "report.json").read_text())["summary"]["dialogues"]
+        assert calls == {"load_lexicon": 1, "tokenize": dialogues, "corpus_from_json": 0}
+
     def test_report_consistent_with_corpus(self, fixture_args):
         args, out = fixture_args
         assert run_cli("run-all", *args) == 0
@@ -224,6 +249,49 @@ class TestConfigFile:
         assert run_cli("parse", "--config", config, "--out", out_flag) == 0
         assert (out_flag / "characters.json").exists()
         assert not out_config.exists()
+
+    def test_top_words_flag_and_key(self, fixtures_dir, fixture_args, tmp_path):
+        args, out = fixture_args
+        assert run_cli("run-all", *args, "--top-words", 1) == 0
+        with (out / "wordfreq.csv").open(newline="") as fh:
+            ranks = [int(row["rank"]) for row in csv.DictReader(fh)]
+        assert ranks and set(ranks) == {1}
+
+        config = tmp_path / "run.conf"
+        config.write_text("top_words = 2\n")
+        assert run_cli("words", *args, "--config", config) == 0
+        with (out / "wordfreq.csv").open(newline="") as fh:
+            assert max(int(row["rank"]) for row in csv.DictReader(fh)) == 2
+
+    @pytest.mark.parametrize("line", ["strict = ture", "seed = x", "k = many", "perplexity = hot"])
+    def test_bad_value_names_file_and_key(self, fixture_args, tmp_path, capsys, line):
+        args, out = fixture_args
+        config = tmp_path / "bad.conf"
+        config.write_text(line + "\n")
+        assert run_cli("parse", *args, "--config", config) == 2
+        err = capsys.readouterr().err
+        key = line.split(" = ")[0]
+        assert str(config) in err and repr(key) in err
+        assert not out.exists()
+
+    def test_bad_flag_value_names_flag(self, fixture_args, capsys):
+        args, _ = fixture_args
+        assert run_cli("parse", *args, "--seed", "x") == 2
+        assert "--seed" in capsys.readouterr().err
+
+    def test_strict_false_in_config(self, fixtures_dir, fixture_args, tmp_path):
+        args, out = fixture_args
+        run_cli("parse", *args)
+        meta_copy = tmp_path / "metadata.csv"
+        meta_copy.write_text((fixtures_dir / "metadata.csv").read_text())
+        future = time.time() + 60
+        os.utime(meta_copy, (future, future))
+        args[args.index("--metadata") + 1] = meta_copy
+        config = tmp_path / "run.conf"
+        config.write_text("strict = false\n")
+        assert run_cli("score", *args, "--config", config) == 0
+        config.write_text("strict = yes\n")
+        assert run_cli("score", *args, "--config", config) == 1
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"

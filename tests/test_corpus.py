@@ -50,6 +50,11 @@ class TestIngestMetadata:
         with pytest.raises(MetadataError, match="row 2"):
             ingest_metadata(HEADER + "M,EVE,female\n")
 
+    def test_year_conflict_within_movie_rejected(self):
+        text = HEADER + "M,EVE,female,2000\nN,ADA,female,1990\nM,ABE,male,2001\n"
+        with pytest.raises(MetadataError, match="row 4.*2001.*2000 on row 2"):
+            ingest_metadata(text)
+
     def test_character_names_normalized(self):
         meta = ingest_metadata(HEADER + "M,eve (v.o.),female,2000\n")
         assert ("M", "EVE") in meta

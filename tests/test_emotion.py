@@ -1,43 +1,67 @@
 import math
-import random
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import given
 from hypothesis import strategies as st
 
-from emocast.corpus import CharacterRecord, Gender
+from emocast.corpus import CharacterRecord, Corpus, Gender
 from emocast.emotion import (
     DYADS,
     EMOTION_COLUMNS,
     PRIMARY_EMOTIONS,
-    PrimaryVector,
-    aggregate_character,
-    agreement_matrix,
-    dyad_expand,
+    character_means,
+    emotion_rows,
     load_lexicon,
-    resolve_emotion_name,
-    score_dialogue,
-    sentiment_classifier,
-    sentiment_of,
     tokenize,
-    SentimentLabel,
 )
-from emocast.errors import LengthError, LexiconError
+from emocast.errors import LexiconError
+from emocast.lexical import default_stopwords, text_pass
+from emocast.pipeline import RunConfig, stage_parse
+
+from oracles import (
+    aggregate_character_reference,
+    dyad_expand_reference,
+    group_frequencies_reference,
+    score_dialogue_reference,
+)
+from synth import build_planted_corpus
 
 TINY = load_lexicon("glad\tjoy\t1\ndread\tfear\t1\ndread\tanticipation\t1\n")
+COL = {name: j for j, name in enumerate(EMOTION_COLUMNS)}
+PRIMARY_COLS = [COL[name] for name in PRIMARY_EMOTIONS]
 
 
-def record(*dialogues):
+def record(*dialogues, gender=Gender.FEMALE):
     return CharacterRecord(
-        name="X", movie="m", year=2000, gender=Gender.FEMALE, dialogues=tuple(dialogues)
+        name="X", movie="m", year=2000, gender=gender, dialogues=tuple(dialogues)
     )
+
+
+def counts_of(*dialogues, lexicon=TINY):
+    """Primary counts per dialogue, from the one text pass."""
+    return text_pass(Corpus(records=[record(*dialogues)], provenance={}), lexicon, set()).counts
+
+
+def rows_of(*dialogues, lexicon=TINY):
+    return emotion_rows(counts_of(*dialogues, lexicon=lexicon))
+
+
+def expand(**counts):
+    """The 32-dim row of one dialogue with the given primary counts."""
+    return emotion_rows(np.array([[counts.get(name, 0) for name in PRIMARY_EMOTIONS]]))[0]
+
+
+def mean_of(*dialogues, lexicon=TINY):
+    means, no_affect = character_means(rows_of(*dialogues, lexicon=lexicon), [len(dialogues)])
+    return means[0], bool(no_affect[0])
 
 
 class TestLoadLexicon:
     def test_flag_semantics(self):
         lex = load_lexicon("abandon\tfear\t1\nabandon\tjoy\t0\n")
-        assert lex.affects("abandon") == frozenset({"fear"})
+        assert lex.entries == {"abandon": frozenset({"fear"})}
 
     def test_sentiment_rows_ignored(self):
         lex = load_lexicon("happy\tpositive\t1\n")
@@ -46,7 +70,7 @@ class TestLoadLexicon:
     def test_empty_file(self):
         lex = load_lexicon("")
         assert len(lex) == 0
-        assert score_dialogue("anything at all", lex).hit_count == 0
+        assert counts_of("anything at all", lexicon=lex).sum() == 0
 
     def test_malformed_row_reports_line(self):
         with pytest.raises(LexiconError, match="line 2"):
@@ -67,7 +91,7 @@ class TestLoadLexicon:
 
     def test_words_lowercased(self):
         lex = load_lexicon("GLAD\tjoy\t1\n")
-        assert lex.affects("glad") == frozenset({"joy"})
+        assert lex.entries == {"glad": frozenset({"joy"})}
 
 
 class TestTokenize:
@@ -86,27 +110,27 @@ class TestTokenize:
 
 class TestScoreDialogue:
     def test_single_hit(self):
-        pv = score_dialogue("I am glad", TINY)
-        assert pv.joy == 1.0
-        assert pv.hit_count == 1
-        assert sum(pv.as_dict().values()) == 1.0
+        assert counts_of("I am glad").tolist() == [[0, 0, 0, 0, 1, 0, 0, 0]]
+        row = rows_of("I am glad")[0]
+        assert row[COL["joy"]] == 1.0
+        assert row[PRIMARY_COLS].sum() == 1.0
 
     def test_multi_affect_counting(self):
-        pv = score_dialogue("glad dread", TINY)
-        assert pv.hit_count == 3
-        assert pv.joy == pytest.approx(1 / 3)
-        assert pv.fear == pytest.approx(1 / 3)
-        assert pv.anticipation == pytest.approx(1 / 3)
+        assert counts_of("glad dread").sum() == 3
+        row = rows_of("glad dread")[0]
+        assert row[COL["joy"]] == pytest.approx(1 / 3)
+        assert row[COL["fear"]] == pytest.approx(1 / 3)
+        assert row[COL["anticipation"]] == pytest.approx(1 / 3)
 
     def test_no_hits(self):
-        pv = score_dialogue("hello there", TINY)
-        assert pv == PrimaryVector()
+        assert not counts_of("hello there").any()
+        assert not rows_of("hello there").any()
 
     @given(st.lists(st.sampled_from(["glad", "dread", "blank", "word"]), max_size=30))
     def test_distribution_sums_to_one(self, words):
-        pv = score_dialogue(" ".join(words), TINY)
-        total = sum(pv.as_dict().values())
-        if pv.hit_count > 0:
+        dialogue = " ".join(words)
+        total = rows_of(dialogue)[0][PRIMARY_COLS].sum()
+        if counts_of(dialogue).sum() > 0:
             assert abs(total - 1.0) < 1e-9
         else:
             assert total == 0.0
@@ -115,7 +139,7 @@ class TestScoreDialogue:
     def test_token_order_irrelevant(self, words, rnd):
         shuffled = list(words)
         rnd.shuffle(shuffled)
-        assert score_dialogue(" ".join(words), TINY) == score_dialogue(" ".join(shuffled), TINY)
+        assert np.array_equal(rows_of(" ".join(words)), rows_of(" ".join(shuffled)))
 
 
 class TestDyadTable:
@@ -136,151 +160,69 @@ class TestDyadTable:
         assert len(EMOTION_COLUMNS) == 32
 
 
-def primary(**scores):
-    hits = scores.pop("hit_count", 1)
-    return PrimaryVector(hit_count=hits, **scores)
-
-
 class TestDyadExpand:
     def test_envy_is_mean_of_sadness_and_anger(self):
-        v = dyad_expand(primary(sadness=0.5, anger=0.5))
-        assert v["envy"] == 0.5
+        assert expand(sadness=1, anger=1)[COL["envy"]] == 0.5
 
     def test_uniform_input_uniform_dyads(self):
-        v = dyad_expand(primary(**{name: 0.125 for name in PRIMARY_EMOTIONS}))
-        assert all(v[name] == 0.125 for name in EMOTION_COLUMNS)
+        v = expand(**{name: 1 for name in PRIMARY_EMOTIONS})
+        assert all(v[COL[name]] == 0.125 for name in EMOTION_COLUMNS)
 
     def test_pure_joy(self):
-        v = dyad_expand(primary(joy=1.0))
+        v = expand(joy=3)
         joy_dyads = {"love", "optimism", "pride", "guilt", "delight", "morbidness"}
         for name, pair in DYADS.items():
             expected = 0.5 if name in joy_dyads else 0.0
-            assert v[name] == expected, name
+            assert v[COL[name]] == expected, name
         assert {name for name, pair in DYADS.items() if "joy" in pair} == joy_dyads
 
     def test_canonical_key_order(self):
-        v = dyad_expand(primary(joy=1.0))
-        assert tuple(v) == EMOTION_COLUMNS
+        for name in PRIMARY_EMOTIONS:
+            v = expand(**{name: 1})
+            assert v.shape == (len(EMOTION_COLUMNS),)
+            assert [EMOTION_COLUMNS[j] for j in np.flatnonzero(v == 1.0)] == [name]
 
-    @given(st.lists(st.floats(0, 1, allow_nan=False), min_size=8, max_size=8))
+    @given(st.lists(st.integers(0, 1000), min_size=8, max_size=8))
     def test_dyad_identity_everywhere(self, raw):
-        total = sum(raw) or 1.0
-        scores = {name: val / total for name, val in zip(PRIMARY_EMOTIONS, raw)}
-        v = dyad_expand(primary(**scores))
-        for name, (a, b) in DYADS.items():
-            assert v[name] == (scores[a] + scores[b]) / 2
-
-
-class TestSentiment:
-    def test_pure_positive(self):
-        assert sentiment_of(primary(joy=1.0)) is SentimentLabel.POSITIVE
-
-    def test_zero_vector_neutral(self):
-        assert sentiment_of(PrimaryVector()) is SentimentLabel.NEUTRAL
-
-    def test_exact_tie_neutral(self):
-        assert sentiment_of(primary(joy=0.5, anger=0.5)) is SentimentLabel.NEUTRAL
-
-    def test_negative(self):
-        assert sentiment_of(primary(fear=0.6, joy=0.4)) is SentimentLabel.NEGATIVE
-
-    @given(
-        st.lists(st.integers(0, 40), min_size=8, max_size=8),
-        st.integers(1, 1000),
-    )
-    @example(raw=[0] * 7 + [5e-324], factor=0.5)  # 5e-324 * 0.5 underflows to 0.0
-    @example(raw=[0.3, 0.2, 0, 0, 0.1, 0, 0, 0], factor=10)  # 0.1 + 0.2 > 0.3, 1.0 + 2.0 == 3.0
-    def test_scale_invariant(self, raw, factor):
-        # Stated over what the scorer produces: hit counts over their total.
-        # Scaling every count by a whole factor must not change the label.
-        # Scaled float vectors have no such property, as the pinned examples
-        # show, so inputs that are not whole counts are excluded.
-        assume(all(val == int(val) for val in raw) and factor == int(factor))
+        counts = dict(zip(PRIMARY_EMOTIONS, raw))
+        v = expand(**counts)
         total = sum(raw)
-        assume(total > 0)
-        base = primary(**{name: val / total for name, val in zip(PRIMARY_EMOTIONS, raw)})
-        scaled = primary(
-            **{name: val * factor / (total * factor) for name, val in zip(PRIMARY_EMOTIONS, raw)}
-        )
-        assert sentiment_of(base) is sentiment_of(scaled)
-
-
-class TestEmotionNames:
-    def test_aggressiveness_alias(self):
-        assert resolve_emotion_name("aggressiveness") == "aggression"
-        assert resolve_emotion_name("Aggression") == "aggression"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(KeyError):
-            resolve_emotion_name("melancholy")
-
-
-class TestSentimentClassifier:
-    def test_classifier_matches_manual_path(self):
-        classify = sentiment_classifier(TINY)
-        assert classify("so glad today") is SentimentLabel.POSITIVE
-        assert classify("nothing matches") is SentimentLabel.NEUTRAL
-
-    def test_pluggable_in_agreement_matrix(self):
-        classify = sentiment_classifier(TINY)
-        dialogues = ["so glad", "plain words", "dread everywhere", "glad glad"]
-        model = [classify(d).value for d in dialogues]
-        human = ["positive", "neutral", "positive", "positive"]
-        _, matrix = agreement_matrix({"lexicon": model, "person 1": human})
-        assert matrix[0][1] == 0.75
-
-
-class TestAgreementMatrix:
-    def test_identical_sequences(self):
-        names, matrix = agreement_matrix({"a": ["p", "n"], "b": ["p", "n"]})
-        assert names == ["a", "b"]
-        assert matrix == [[1.0, 1.0], [1.0, 1.0]]
-
-    def test_one_of_four_differs(self):
-        _, matrix = agreement_matrix({"a": [1, 2, 3, 4], "b": [1, 2, 3, 9]})
-        assert matrix[0][1] == 0.75
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(LengthError):
-            agreement_matrix({"a": [1, 2], "b": [1]})
-
-    def test_diagonal_and_symmetry(self):
-        rnd = random.Random(7)
-        labelings = {
-            name: [rnd.choice("pnq") for _ in range(40)] for name in ("model", "p1", "p2")
-        }
-        _, matrix = agreement_matrix(labelings)
-        for i in range(3):
-            assert matrix[i][i] == 1.0
-            for j in range(3):
-                assert matrix[i][j] == matrix[j][i]
+        for name in PRIMARY_EMOTIONS:
+            assert v[COL[name]] == (counts[name] / total if total else 0.0)
+        for name, (a, b) in DYADS.items():
+            assert v[COL[name]] == (v[COL[a]] + v[COL[b]]) / 2
+        assert v[COL["envy"]] == (v[COL["sadness"]] + v[COL["anger"]]) / 2
 
 
 class TestAggregateCharacter:
     def test_mean_of_one(self):
-        rec = record("I am glad")
-        agg = aggregate_character(rec, TINY)
-        assert agg.vector == dyad_expand(score_dialogue("I am glad", TINY))
-        assert not agg.no_affect
+        mean, no_affect = mean_of("I am glad")
+        assert np.array_equal(mean, rows_of("I am glad")[0])
+        assert not no_affect
 
     def test_mean_and_dyads(self):
         lex = load_lexicon("glad\tjoy\t1\nrage\tanger\t1\n")
-        agg = aggregate_character(record("glad", "rage"), lex)
-        assert agg.vector["joy"] == 0.5
-        assert agg.vector["anger"] == 0.5
-        assert agg.vector["envy"] == 0.25
-        assert agg.vector["pride"] == 0.5
+        mean, _ = mean_of("glad", "rage", lexicon=lex)
+        assert mean[COL["joy"]] == 0.5
+        assert mean[COL["anger"]] == 0.5
+        assert mean[COL["envy"]] == 0.25
+        assert mean[COL["pride"]] == 0.5
 
     def test_all_zero_hit_flagged(self):
-        agg = aggregate_character(record("nothing here", "still nothing"), TINY)
-        assert agg.no_affect
-        assert all(v == 0.0 for v in agg.vector.values())
-        assert agg.scored_dialogues == 0
+        mean, no_affect = mean_of("nothing here", "still nothing")
+        assert no_affect
+        assert not mean.any()
 
     def test_zero_hit_dialogues_excluded_from_mean(self):
-        agg = aggregate_character(record("glad", "no match"), TINY)
-        assert agg.vector["joy"] == 1.0
-        assert agg.scored_dialogues == 1
+        mean, _ = mean_of("glad", "no match")
+        assert mean[COL["joy"]] == 1.0
+
+    def test_characters_split_by_lengths(self):
+        rows = rows_of("glad", "dread", "none", "glad", "none", "none")
+        means, no_affect = character_means(rows, [2, 1, 1, 2])
+        assert np.array_equal(means[0], (rows[0] + rows[1]) / 2)
+        assert no_affect.tolist() == [False, True, False, True]
+        assert np.array_equal(means[2], rows[3])
 
     @given(
         st.lists(
@@ -290,16 +232,76 @@ class TestAggregateCharacter:
         )
     )
     def test_averaging_commutes_with_expansion(self, dialogue_words):
-        rec = record(*(" ".join(words) for words in dialogue_words))
-        agg = aggregate_character(rec, TINY)
-        pvs = [score_dialogue(d, TINY) for d in rec.dialogues]
-        hits = [pv for pv in pvs if pv.hit_count > 0]
-        if not hits:
-            assert agg.no_affect
+        dialogues = [" ".join(words) for words in dialogue_words]
+        mean, no_affect = mean_of(*dialogues)
+        counts = counts_of(*dialogues)
+        hits = counts[counts.sum(axis=1) > 0]
+        if not len(hits):
+            assert no_affect
             return
-        mean_scores = {
-            name: sum(pv.score(name) for pv in hits) / len(hits) for name in PRIMARY_EMOTIONS
-        }
-        expanded_mean = dyad_expand(PrimaryVector(hit_count=1, **mean_scores))
+        shares = hits / hits.sum(axis=1, keepdims=True)
+        mean_scores = dict(zip(PRIMARY_EMOTIONS, shares.mean(axis=0).tolist()))
+        expanded_mean = dyad_expand_reference(mean_scores)
         for name in EMOTION_COLUMNS:
-            assert math.isclose(agg.vector[name], expanded_mean[name], abs_tol=1e-12)
+            assert math.isclose(mean[COL[name]], expanded_mean[name], abs_tol=1e-12)
+
+
+def assert_matches_dict_path(corpus, lexicon):
+    """Rows, means, flags and word counts equal the per-dialogue dict path's."""
+    stopwords = default_stopwords()
+    scored = text_pass(corpus, lexicon, stopwords)
+    rows = emotion_rows(scored.counts)
+    expected = [
+        [dyad_expand_reference(score_dialogue_reference(d, lexicon)[0])[name] for name in EMOTION_COLUMNS]
+        for rec in corpus.records
+        for d in rec.dialogues
+    ]
+    assert np.array_equal(rows, np.array(expected).reshape(-1, len(EMOTION_COLUMNS)))
+    means, no_affect = character_means(rows, [len(rec.dialogues) for rec in corpus.records])
+    for i, rec in enumerate(corpus.records):
+        vector, flag = aggregate_character_reference(rec.dialogues, lexicon)
+        assert means[i].tolist() == [vector[name] for name in EMOTION_COLUMNS], rec.name
+        assert bool(no_affect[i]) is flag
+    assert scored.words.counts == group_frequencies_reference(corpus, stopwords)
+
+
+def parsed_corpus(scripts, metadata, lexicon, out):
+    return stage_parse(RunConfig(script_dir=scripts, metadata_path=metadata, lexicon_path=lexicon, output_dir=out))
+
+
+class TestMatchesDictPath:
+    def test_fixture(self, fixtures_dir, fixture_lexicon, tmp_path):
+        corpus = parsed_corpus(
+            fixtures_dir / "scripts", fixtures_dir / "metadata.csv", fixtures_dir / "lexicon.tsv", tmp_path
+        )
+        assert_matches_dict_path(corpus, fixture_lexicon)
+
+    def test_planted_corpus(self, tmp_path):
+        inputs = build_planted_corpus(tmp_path / "inputs", seed=3)
+        (tmp_path / "out").mkdir()
+        corpus = parsed_corpus(inputs["scripts"], inputs["metadata"], inputs["lexicon"], tmp_path / "out")
+        lexicon = load_lexicon(inputs["lexicon"].read_text())
+        assert_matches_dict_path(corpus, lexicon)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(list(Gender)),
+                st.lists(
+                    st.lists(
+                        st.sampled_from(["glad", "dread", "Glad!", "dread's", "the", "a", "x9y", "dog"]),
+                        max_size=12,
+                    ).map(" ".join),
+                    min_size=1,
+                    max_size=7,
+                ),
+            ),
+            max_size=6,
+        )
+    )
+    def test_hypothesis_corpus(self, cast):
+        records = [
+            CharacterRecord(name=f"C{i}", movie="m", year=2000, gender=gender, dialogues=tuple(lines))
+            for i, (gender, lines) in enumerate(cast)
+        ]
+        assert_matches_dict_path(Corpus(records=records, provenance={}), TINY)

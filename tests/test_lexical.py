@@ -3,17 +3,21 @@ from collections import Counter
 from hypothesis import given
 from hypothesis import strategies as st
 
+import numpy as np
 import pytest
 
 from emocast.corpus import CharacterRecord, Corpus, Gender
+from emocast.emotion import load_lexicon
 from emocast.lexical import (
     FrequencyTable,
     default_nouns,
     default_stopwords,
     exclusive_nouns,
-    group_frequencies,
     load_word_list,
+    text_pass,
 )
+
+EMPTY_LEXICON = load_lexicon("")
 
 
 def corpus_of(*records):
@@ -29,6 +33,11 @@ def rec(gender, *dialogues, name="X", movie="m"):
         ],
         provenance={},
     ).records[0]
+
+
+def group_frequencies(corpus, stopwords):
+    """The word counts of the one text pass."""
+    return text_pass(corpus, EMPTY_LEXICON, stopwords).words
 
 
 class TestGroupFrequencies:
@@ -60,6 +69,25 @@ class TestGroupFrequencies:
         corpus = corpus_of(rec(Gender.MALE, "o a go going"))
         table = group_frequencies(corpus, stopwords=set())
         assert set(table.counts["male"]) == {"go", "going"}
+
+    def test_one_count_row_per_dialogue(self):
+        lexicon = load_lexicon("glad\tjoy\t1\nglad\ttrust\t1\nrage\tanger\t1\n")
+        corpus = corpus_of(
+            rec(Gender.FEMALE, "glad glad", "nothing", name="A"),
+            rec(Gender.UNKNOWN, "rage, glad", name="B"),
+        )
+        scored = text_pass(corpus, lexicon, stopwords=set())
+        assert scored.counts.dtype == np.int64
+        # columns follow PRIMARY_EMOTIONS: anger, anticipation, ..., joy, ..., trust
+        assert scored.counts.tolist() == [
+            [0, 0, 0, 0, 2, 0, 0, 2],
+            [0, 0, 0, 0, 0, 0, 0, 0],
+            [1, 0, 0, 0, 1, 0, 0, 1],
+        ]
+        assert scored.words.counts == {"female": Counter({"glad": 2, "nothing": 1}), "male": Counter()}
+
+    def test_empty_corpus_counts_shape(self):
+        assert text_pass(corpus_of(), EMPTY_LEXICON, set()).counts.shape == (0, 8)
 
 
 NOUNS = {"kitchen", "time", "war", "dress"}

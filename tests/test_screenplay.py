@@ -11,8 +11,6 @@ from emocast.screenplay import (
     IndentProfile,
     RawBlock,
     build_character_dictionary,
-    character_dictionary_from_json,
-    character_dictionary_to_json,
     classify_blocks,
     filter_min_dialogues,
     infer_indent_profile,
@@ -218,24 +216,6 @@ class TestFilterMinDialogues:
         kept_hi = filter_min_dialogues(d, hi)
         kept_lo = filter_min_dialogues(d, lo)
         assert set(kept_hi) <= set(kept_lo)
-
-
-class TestSerialization:
-    @given(
-        st.dictionaries(
-            st.text("ABCDEF ", min_size=1, max_size=8).map(str.strip).filter(bool),
-            st.lists(st.text(max_size=20).filter(lambda s: s.strip()), min_size=1, max_size=5),
-            max_size=5,
-        )
-    )
-    def test_round_trip(self, entries):
-        text = character_dictionary_to_json(entries)
-        assert character_dictionary_from_json(text) == entries
-
-    def test_keys_sorted_for_determinism(self):
-        text = character_dictionary_to_json({"B": ["x"], "A": ["y"]})
-        data = json.loads(text)
-        assert list(data) == ["A", "B"]
 
 
 class TestLoaders:

@@ -9,7 +9,6 @@ from emocast.corpus import CharacterRecord, Corpus, Gender
 from emocast.emotion import EMOTION_COLUMNS
 from emocast.errors import DegenerateError, NonFiniteError
 from emocast.stats import (
-    box_summary,
     emotion_test_battery,
     gender_distribution_over_time,
     mann_whitney_u,
@@ -149,26 +148,6 @@ class TestMannWhitneyU:
 def _not_degenerate(a, b):
     pooled = list(a) + list(b)
     return any(v != pooled[0] for v in pooled)
-
-
-class TestBoxSummary:
-    def test_interpolated_median(self):
-        assert box_summary([1, 2, 3, 4]).median == 2.5
-
-    def test_singleton(self):
-        s = box_summary([5])
-        assert (s.min, s.q1, s.median, s.q3, s.max) == (5, 5, 5, 5, 5)
-        assert s.outliers == []
-
-    def test_outlier_beyond_fence(self):
-        s = box_summary([1, 1, 1, 1, 100])
-        assert s.outliers == [100]
-        assert s.max == 1
-
-    @given(st.lists(st.floats(-100, 100, allow_nan=False), min_size=1, max_size=60))
-    def test_ordering_invariant(self, values):
-        s = box_summary(values)
-        assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
 
 
 def _corpus(year_gender_pairs):

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -233,3 +234,11 @@ class TestScatterSvg:
         coords = np.zeros((4, 2))
         svg = scatter_svg(coords, ["male"] * 4)
         assert "nan" not in svg
+
+
+def test_submodule_import_binds_module():
+    # the package root re-exports nothing, so no function shadows its module
+    import emocast.tsne as T
+
+    assert inspect.ismodule(T)
+    assert T.tsne is tsne
