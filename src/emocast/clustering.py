@@ -5,6 +5,28 @@ Everything here is deterministic given its seed. Ties are broken by fixed
 rules (lowest centroid index for assignments, lowest id pair for merges)
 so that repeated runs and the from-scratch oracles in the test suite see
 identical sequences.
+
+The Lloyd loop skips distance work with Hamerly's bounds ("Making k-means
+even faster", SDM 2010) and still assigns every point exactly as an
+``argmin`` over all its squared distances would. Each point keeps an upper
+bound on the distance to its own centre and a lower bound on the distance
+to every other centre. After a centre update the upper bound grows by the
+own centre's movement and the lower bound shrinks by the largest movement.
+A point is certified, and skipped, while ``upper * (1 + 1e-9) < lower``.
+Otherwise its own distance is recomputed and, if the test still fails,
+its distances to all centres. A computed distance or movement is off by
+a relative ``(d + 2) * 2**-53`` at most, and each bound update adds about
+one more ulp; each movement is also inflated by ``1 + 1e-9`` before it
+enters the bounds. While d and the iteration count stay far below 1e6,
+the margin covers all of it, so rounding can never certify a point whose
+``argmin``, ties to the lowest index, would pick another centre. Distances
+are computed one centre at a time with ``einsum("nd,nd->n")``, which gives
+the same bits as an n x k x d difference tensor without holding it. Centres
+are the sums of contiguous slices of the rows sorted stably by cluster,
+divided by the counts: the same ``mean(axis=0)`` over the same rows in the
+same order. After ``_repair_empty`` moves a centre the bounds are reset.
+The scratch buffers (two n x d, one k x n, the bounds) are allocated once
+per call.
 """
 
 from __future__ import annotations
@@ -21,6 +43,7 @@ from .errors import CurveError, DimensionError, InvariantError, NonFiniteError
 KMEANS_MAX_ITER = 300
 DEFAULT_RESTARTS = 10
 _WARD_ROW_BLOCK = 16  # rows of pairwise differences held at once
+_BOUND_MARGIN = 1e-9  # relative slack of the Hamerly bound test, see the module docstring
 
 
 @dataclass(frozen=True)
@@ -58,18 +81,16 @@ class CompositionRow:
 
 
 def _as_matrix(points: Sequence[Sequence[float]]) -> np.ndarray:
-    arr = np.asarray(points, dtype=object)
-    if arr.ndim != 2:
-        raise DimensionError("points must form a 2-D matrix with equal-length rows")
-    mat = arr.astype(float)
+    if isinstance(points, np.ndarray) and points.dtype == np.float64 and points.ndim == 2:
+        mat = np.ascontiguousarray(points)  # copies only a non-contiguous view
+    else:
+        arr = np.asarray(points, dtype=object)
+        if arr.ndim != 2:
+            raise DimensionError("points must form a 2-D matrix with equal-length rows")
+        mat = arr.astype(float)
     if not np.all(np.isfinite(mat)):
         raise NonFiniteError("points must be finite")
     return mat
-
-
-def _sq_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
 
 
 def _kmeanspp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -110,6 +131,52 @@ def _repair_empty(
         centers[j] = points[farthest]
 
 
+def _nearest_centres(
+    X: np.ndarray,
+    centers: np.ndarray,
+    assign: np.ndarray,
+    upper: np.ndarray,
+    lower: np.ndarray,
+    scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[int, int]:
+    """Point ``assign`` at each row's nearest centre, ties to the lowest index.
+
+    Rows whose bounds certify their centre are skipped. The rest get their
+    own distance refreshed into ``upper``, and those still uncertified get
+    all k squared distances, after which ``upper`` and ``lower`` hold their
+    nearest and second-nearest distances. ``scratch`` is (rows, diff, d2)
+    of shapes n x d, n x d and k x n. Returns the number of rows refreshed
+    and of rows measured against every centre.
+    """
+    rows, diff, d2 = scratch
+    n, k = X.shape[0], centers.shape[0]
+    # a NaN bound fails the comparison, so it is never trusted
+    stale = np.flatnonzero(~(upper * (1.0 + _BOUND_MARGIN) < lower))
+    refreshed = stale.size
+    if refreshed == 0:
+        return 0, 0
+    own = diff[:refreshed]
+    np.take(centers, assign[stale], axis=0, out=own)
+    np.subtract(np.take(X, stale, axis=0, out=rows[:refreshed]), own, out=own)
+    upper[stale] = np.sqrt(np.einsum("nd,nd->n", own, own))
+    stale = np.flatnonzero(~(upper * (1.0 + _BOUND_MARGIN) < lower))
+    m = stale.size
+    if m == 0:
+        return refreshed, 0
+    pts = X if m == n else np.take(X, stale, axis=0, out=rows[:m])
+    block = d2[:, :m]
+    for j in range(k):
+        np.subtract(pts, centers[j], out=diff[:m])
+        np.einsum("nd,nd->n", diff[:m], diff[:m], out=block[j])
+    nearest = block.argmin(axis=0)
+    cols = np.arange(m)
+    assign[stale] = nearest
+    upper[stale] = np.sqrt(block[nearest, cols])
+    block[nearest, cols] = np.inf
+    lower[stale] = np.sqrt(block.min(axis=0))
+    return refreshed, m
+
+
 def kmeans(
     points: Sequence[Sequence[float]],
     k: int,
@@ -123,30 +190,52 @@ def kmeans(
     across iterations; an increase raises InvariantError.
     """
     X = _as_matrix(points)
-    n = X.shape[0]
+    n, dim = X.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     rng = np.random.default_rng(seed)
     centers = _kmeanspp_init(X, k, rng)
 
-    prev_assign: np.ndarray | None = None
+    scratch = (np.empty((n, dim)), np.empty((n, dim)), np.empty((k, n)))
+    rows, diff, _ = scratch
+    upper = np.full(n, np.inf)  # >= distance to the own centre
+    lower = np.zeros(n)  # <= distance to every other centre
+    assign = np.zeros(n, dtype=np.intp)
+    prev_assign = np.empty(n, dtype=np.intp)
+    previous = np.empty_like(centers)
     prev_sse = math.inf
-    assign = np.zeros(n, dtype=int)
-    iterations = 0
     for iterations in range(1, max_iter + 1):
-        d2 = _sq_distances(X, centers)
-        assign = d2.argmin(axis=1)
-        assign = _repair_empty(X, centers, assign, k)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
+        _nearest_centres(X, centers, assign, upper, lower, scratch)
+        counts = np.bincount(assign, minlength=k)
+        if not counts.all():
+            _repair_empty(X, centers, assign, k)
+            counts = np.bincount(assign, minlength=k)
+            upper.fill(np.inf)  # a centre jumped and a point changed cluster
+            lower.fill(0.0)
+        if iterations > 1 and np.array_equal(assign, prev_assign):
             break
-        for j in range(k):
-            centers[j] = X[assign == j].mean(axis=0)
-        sse = float(((X - centers[assign]) ** 2).sum())
+        previous[...] = centers
+        np.take(X, np.argsort(assign, kind="stable"), axis=0, out=rows)
+        start = 0
+        for j, end in enumerate(np.cumsum(counts)):
+            np.add.reduce(rows[start:end], axis=0, out=centers[j])
+            start = end
+        centers /= counts[:, None]  # what mean(axis=0) does after its sum
+        np.subtract(centers, previous, out=previous)
+        shift = np.sqrt(np.einsum("kd,kd->k", previous, previous)) * (1.0 + _BOUND_MARGIN)
+        upper += shift[assign]
+        lower -= shift.max()
+        np.take(centers, assign, axis=0, out=diff)
+        np.subtract(X, diff, out=diff)
+        sse = float(np.square(diff, out=diff).sum())
         if math.isfinite(prev_sse) and sse > prev_sse + 1e-9 * (1.0 + prev_sse):
             raise InvariantError(
                 f"kmeans: SSE rose from {prev_sse!r} to {sse!r} in iteration {iterations}"
             )
-        prev_assign, prev_sse = assign.copy(), sse
+        prev_assign[...] = assign
+        prev_sse = sse
 
     sse = float(((X - centers[assign]) ** 2).sum())
     return KMeansResult(

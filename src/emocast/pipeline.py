@@ -273,9 +273,17 @@ def _load_characters(cfg: RunConfig, stage: str) -> CharacterTable:
             raise ValueError(f"{stage}: {artifact.name} does not have the emotions.csv columns")
         keys, vectors, no_affect = [], [], []
         for rec in reader:
+            if len(rec) != len(EMOTIONS_HEADER) or rec[-2] not in ("true", "false"):
+                raise ValueError(
+                    f"{stage}: {artifact} line {reader.line_num}: expected "
+                    f"{len(EMOTIONS_HEADER)} fields with no_affect true or false"
+                )
             keys.append((rec[0], rec[1], rec[2]))
-            # float(repr(x)) == x, so these are the bits stage_score computed
-            vectors.append([float(cell) for cell in rec[3:-2]])
+            try:
+                # float(repr(x)) == x, so these are the bits stage_score computed
+                vectors.append([float(cell) for cell in rec[3:-2]])
+            except ValueError as exc:
+                raise ValueError(f"{stage}: {artifact} line {reader.line_num}: {exc}") from None
             no_affect.append(rec[-2] == "true")
     return CharacterTable(
         keys=keys,

@@ -3,18 +3,22 @@
 These deliberately avoid the code paths under test: the U statistic comes
 from direct pair enumeration, Ward merges from full SSE recomputation (and,
 at sizes where that is too slow, from the first dense Ward kernel), the
-k-means optimum from exhaustive partition search, silhouette from the
-textbook definition, the t-SNE descent from the loop the package shipped
-first, and dialogue emotions from the per-dialogue dict path the package
-shipped first.
+k-means optimum from exhaustive partition search (and each Lloyd run from
+the loop the package shipped first), silhouette from the textbook
+definition, the t-SNE descent from the loop the package shipped first, and
+dialogue emotions from the per-dialogue dict path the package shipped
+first.
 """
 
+import math
 from collections import Counter
 from itertools import product
 
 import numpy as np
 
+from emocast.clustering import KMeansResult, _kmeanspp_init, _repair_empty
 from emocast.emotion import DYADS, EMOTION_COLUMNS, PRIMARY_EMOTIONS, tokenize
+from emocast.errors import InvariantError
 from emocast.tsne import (
     KL_RECORD_EVERY,
     MOMENTUM_SWITCH_ITER,
@@ -155,6 +159,47 @@ def kmeans_optimal_sse(X, k):
                 sse += cluster_sse(X, idxs)
         best = min(best, sse)
     return best
+
+
+def kmeans_reference(points, k, seed, max_iter=300):
+    """The Lloyd loop the package shipped first.
+
+    Builds the n x k x d difference tensor and a boolean mask per cluster
+    on every iteration, but its assignments, centroids, SSE and iteration
+    count carry the exact bits the bounded loop must reproduce. Seeding and
+    the empty-cluster repair are shared with the package. Returns
+    ``(result, repairs)``, the second counting iterations that repaired an
+    empty cluster.
+    """
+    X = np.asarray(points, dtype=float)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = _kmeanspp_init(X, k, rng)
+
+    prev_assign = None
+    prev_sse = math.inf
+    assign = np.zeros(n, dtype=int)
+    repairs = 0
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        diff = X[:, None, :] - centers[None, :, :]
+        assign = np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
+        repairs += int(np.bincount(assign, minlength=k).min() == 0)
+        assign = _repair_empty(X, centers, assign, k)
+        if prev_assign is not None and np.array_equal(assign, prev_assign):
+            break
+        for j in range(k):
+            centers[j] = X[assign == j].mean(axis=0)
+        sse = float(((X - centers[assign]) ** 2).sum())
+        if math.isfinite(prev_sse) and sse > prev_sse + 1e-9 * (1.0 + prev_sse):
+            raise InvariantError(f"kmeans: SSE rose from {prev_sse!r} to {sse!r}")
+        prev_assign, prev_sse = assign.copy(), sse
+
+    sse = float(((X - centers[assign]) ** 2).sum())
+    result = KMeansResult(
+        assignments=[int(a) for a in assign], centroids=centers, sse=sse, iterations=iterations
+    )
+    return result, repairs
 
 
 def silhouette(points, labels):

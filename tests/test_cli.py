@@ -201,6 +201,30 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "parse" in err and "flatfile.txt" in err
 
+    def _cluster_with_emotions_line(self, fixture_args, capsys, lineno, mangle):
+        args, out = fixture_args
+        for stage in ("parse", "score"):
+            assert run_cli(stage, *args) == 0, stage
+        path = out / "emotions.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = ",".join(mangle(lines[lineno - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("cluster", *args) == 1
+        return capsys.readouterr().err
+
+    def test_bad_emotions_cell_names_file_and_line(self, fixture_args, capsys):
+        err = self._cluster_with_emotions_line(
+            fixture_args, capsys, 4, lambda cells: [*cells[:5], "x", *cells[6:]]
+        )
+        assert "emotions.csv line 4" in err
+        assert "could not convert string to float: 'x'" in err
+
+    def test_short_emotions_row_names_file_and_line(self, fixture_args, capsys):
+        err = self._cluster_with_emotions_line(fixture_args, capsys, 3, lambda cells: cells[:20])
+        assert "emotions.csv line 3" in err
+        assert "expected 37 fields" in err
+
     def test_duplicate_movie_stem_rejected(self, fixtures_dir, tmp_path, capsys):
         scripts = tmp_path / "scripts"
         scripts.mkdir()

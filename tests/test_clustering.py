@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emocast.clustering
 from emocast.clustering import (
+    _as_matrix,
+    _nearest_centres,
     best_kmeans,
     composition_audit,
     elbow_detect,
@@ -16,7 +19,13 @@ from emocast.clustering import (
 )
 from emocast.errors import CurveError, DimensionError, InvariantError, NonFiniteError
 
-from oracles import cluster_sse, kmeans_optimal_sse, ward_dense_reference, ward_naive
+from oracles import (
+    cluster_sse,
+    kmeans_optimal_sse,
+    kmeans_reference,
+    ward_dense_reference,
+    ward_naive,
+)
 
 TWO_BLOBS_4PT = [[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]
 
@@ -78,6 +87,20 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans([[0.0], [1.0]], k=3, seed=0)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            kmeans(TWO_BLOBS_4PT, k=2, seed=0, max_iter=max_iter)
+
+    def test_float_matrix_used_without_conversion(self):
+        pts = np.random.default_rng(0).random((30, 4))
+        assert _as_matrix(pts) is pts
+        view = pts[:, ::2]
+        assert np.array_equal(_as_matrix(view), view) and _as_matrix(view).flags.c_contiguous
+        pts[3, 1] = np.nan
+        with pytest.raises(NonFiniteError):
+            kmeans(pts, k=2, seed=0)
+
     @given(st.integers(0, 10_000), st.integers(2, 6))
     @settings(max_examples=30, deadline=None)
     def test_sse_never_worse_than_single_cluster(self, seed, k):
@@ -86,6 +109,127 @@ class TestKMeans:
         res = kmeans(pts, k=k, seed=seed)
         assert res.sse <= total + 1e-9
         assert all(0 <= a < k for a in res.assignments)
+
+
+def few_distinct(rng, n, dim=4, distinct=3):
+    """n draws from a handful of random points: k above ``distinct`` empties clusters."""
+    points = rng.random(size=(distinct, dim))
+    return points[rng.integers(distinct, size=n)]
+
+
+class TestMatchesReferenceLoop:
+    """The bounded loop against the loop it replaced, bit for bit."""
+
+    @staticmethod
+    def check(points, k, seed, max_iter=300):
+        got = kmeans(points, k, seed, max_iter=max_iter)
+        expected, repairs = kmeans_reference(points, k, seed, max_iter=max_iter)
+        assert got.assignments == expected.assignments
+        assert np.array_equal(got.centroids, expected.centroids)
+        assert got.sse == expected.sse
+        assert got.iterations == expected.iterations
+        return repairs
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_planted_blobs(self, seed):
+        pts = planted_clusters(np.random.default_rng(seed), 300)
+        for k in (2, 4, 6, 10):
+            self.check(pts, k, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_duplicate_grid_ties(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        pts = tie_heavy(rng, 200)
+        for k in (2, 5, 9, 14):
+            self.check(pts, k, seed)
+        # a 2-D grid of multiples of 0.1: ties between centres that are not exact binary fractions
+        grid = rng.integers(0, 4, size=(120, 2)) * 0.1
+        for k in (3, 7, 12):
+            self.check(grid, k, seed)
+
+    def test_empty_cluster_repairs(self):
+        rng = np.random.default_rng(7)
+        repaired = 0
+        for seed in range(20):
+            pts = few_distinct(rng, int(rng.integers(20, 60)))
+            repaired += self.check(pts, int(rng.integers(4, 9)), seed) > 0
+        assert repaired == 20
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_k_one_and_k_n(self, seed):
+        pts = planted_clusters(np.random.default_rng(seed), 40, dim=5)
+        self.check(pts, 1, seed)
+        self.check(pts, 40, seed)
+
+    @pytest.mark.parametrize("seed", [0, 7, 42])
+    def test_recluster_sized(self, seed):
+        pts = planted_clusters(np.random.default_rng(seed), 1000, centers=4)
+        for k in (3, 10):
+            self.check(pts, k, seed)
+
+    def test_unconverged_runs_match(self):
+        pts = planted_clusters(np.random.default_rng(5), 300)
+        for max_iter in (1, 2, 3):
+            self.check(pts, 8, 5, max_iter=max_iter)
+            assert kmeans(pts, 8, 5, max_iter=max_iter).iterations == max_iter
+
+
+class TestBounds:
+    @staticmethod
+    def scratch(n, k, dim):
+        return np.empty((n, dim)), np.empty((n, dim)), np.empty((k, n))
+
+    def test_gap_inside_margin_does_not_certify(self):
+        # The point sits exactly halfway between centres 0 and 1 (all values
+        # are exact binary fractions), so the squared distances tie and
+        # argmin picks centre 0. Bounds that put centre 1 ahead by less than
+        # the relative margin are within rounding of the distances and must
+        # not keep the point on centre 1.
+        x = np.array([[0.5, 0.25, 1.0]])
+        v = np.array([0.25, 0.125, 0.5])
+        centers = np.vstack([x[0] - v, x[0] + v])
+        dist = math.sqrt(float(v @ v))
+        assign = np.array([1])
+        upper = np.array([dist])
+        lower = np.array([dist * (1.0 + 1e-12)])
+        _nearest_centres(x, centers, assign, upper, lower, self.scratch(1, 2, 3))
+        assert assign[0] == 0
+
+    def test_clear_gap_skips_the_row(self):
+        x = np.array([[0.0, 0.0], [10.0, 0.0]])
+        centers = np.array([[0.0, 0.5], [10.0, 0.5]])
+        assign = np.array([0, 1])
+        upper = np.array([0.5, 0.5])
+        lower = np.array([9.0, 9.0])
+        counts = _nearest_centres(x, centers, assign, upper, lower, self.scratch(2, 2, 2))
+        assert counts == (0, 0)
+        assert assign.tolist() == [0, 1]
+
+    def test_sweep_measures_few_rows_against_every_centre(self, monkeypatch):
+        pts = planted_clusters(np.random.default_rng(3), 1000, centers=4)
+        full = 0
+
+        def counted(*args):
+            nonlocal full
+            refreshed, measured = _nearest_centres(*args)
+            full += measured
+            return refreshed, measured
+
+        monkeypatch.setattr(emocast.clustering, "_nearest_centres", counted)
+        iterations = sum(kmeans(pts, k, seed=k).iterations for k in range(2, 11))
+        assert full < 0.5 * iterations * len(pts)
+
+    def test_peak_memory_linear_in_n_times_d(self):
+        n, dim, k = 4000, 32, 10
+        pts = planted_clusters(np.random.default_rng(4), n, dim)
+        tracemalloc.start()
+        try:
+            kmeans(pts, k, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # an n x k x d difference tensor alone would be 10 MB
+        assert peak < 5 * n * dim * 8, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestSseCurve:
