@@ -39,7 +39,7 @@ def main() -> int:
     )
     report = run_pipeline(cfg)
 
-    rows = {row["emotion"]: row for row in report.tests}
+    rows = {row["emotion"]: row for row in report["tests"]}
     print()
     print(f"planted signal check (seed {args.seed}):")
     for emotion, wanted in (("joy", "female"), ("anger", "male")):
@@ -47,7 +47,7 @@ def main() -> int:
         verdict = "ok" if row["higher_group"] == wanted and row["p_value"] < 0.01 else "MISSED"
         print(f"  {emotion:<6} p={row['p_value']:.3e} higher={row['higher_group']:<6} [{verdict}]")
     worst = None
-    for method, comp in report.clusters["composition"].items():
+    for method, comp in report["clusters"]["composition"].items():
         for r in comp:
             label = f"{method} c{r['cluster']}"
             print(f"  {label}: {r['female']}F/{r['male']}M (expected {r['expected_female']:.1f}F)")

@@ -24,12 +24,13 @@ def main() -> int:
 
     print()
     print("strongest group differences (dialogue level):")
-    for row in report.tests[:5]:
+    for row in report["tests"][:5]:
         if row["p_value"] is None:
             continue
         print(f"  {row['emotion']:<15} p={row['p_value']:.3e}  higher: {row['higher_group']}")
-    print(f"chosen k: {report.clusters['k']} (auto: {report.clusters['auto']})")
-    for method, rows in report.clusters["composition"].items():
+    clusters = report["clusters"]
+    print(f"chosen k: {clusters['k']} (auto: {clusters['auto']})")
+    for method, rows in clusters["composition"].items():
         balance = ", ".join(f"c{r['cluster']}: {r['female']}F/{r['male']}M" for r in rows)
         print(f"  {method}: {balance}")
     return 0

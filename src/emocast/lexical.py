@@ -26,19 +26,12 @@ MIN_TOKEN_LEN = 2
 GROUPS = ("female", "male")
 
 
-@dataclass
-class FrequencyTable:
-    """Per-group word counts: group label -> Counter of lowercase words."""
-
-    counts: dict[str, Counter]
-
-
 @dataclass(frozen=True)
 class TextPass:
     """Primary-affect counts per dialogue, in corpus order, and word counts."""
 
     counts: np.ndarray  # int64, dialogues x PRIMARY_EMOTIONS
-    words: FrequencyTable
+    words: dict[str, Counter]  # group label -> Counter of lowercase words
 
 
 def load_word_list(text: str) -> set[str]:
@@ -92,11 +85,11 @@ def text_pass(corpus: Corpus, lexicon: EmotionLexicon, stopwords: set[str]) -> T
                     [token for token in tokens if len(token) >= MIN_TOKEN_LEN and token not in stopwords]
                 )
     counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(PRIMARY_EMOTIONS))
-    return TextPass(counts=counts, words=FrequencyTable(counts=words))
+    return TextPass(counts=counts, words=words)
 
 
 def exclusive_nouns(
-    freq: FrequencyTable,
+    freq: dict[str, Counter],
     nouns: Iterable[str],
     top_n: int,
 ) -> dict[str, list[tuple[str, int]]]:
@@ -108,8 +101,8 @@ def exclusive_nouns(
     if top_n < 1:
         raise ValueError("top_n must be >= 1")
     noun_set = set(nouns)
-    female = freq.counts.get("female", Counter())
-    male = freq.counts.get("male", Counter())
+    female = freq.get("female", Counter())
+    male = freq.get("male", Counter())
     shared = set(female) & set(male)
 
     def top(counter: Counter) -> list[tuple[str, int]]:

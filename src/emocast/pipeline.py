@@ -5,10 +5,12 @@ Each stage takes its inputs as arguments and writes its artifacts.
 run loads the lexicon once and tokenizes each dialogue once. The staged
 commands in ``STAGES`` load the same inputs from the artifacts of the
 earlier stages instead, after a staleness check, so an expensive stage can
-be rerun on its own; both routes write the same bytes. Artifact bytes are
-deterministic for a fixed config and inputs: rows are sorted, floats use
-their shortest repr, and every CSV uses "\\n" line endings. Only
-report.json carries a timestamp.
+be rerun on its own; both routes write the same bytes. Each stage builds
+its records once, as dicts in column order: its CSVs are written from them,
+report.json embeds them, and ``_write`` replaces every artifact in one step.
+Artifact bytes are deterministic for a fixed config and inputs: rows are
+sorted, floats use their shortest repr, and every CSV uses "\\n" line
+endings. Only report.json carries a timestamp.
 """
 
 from __future__ import annotations
@@ -17,16 +19,19 @@ import csv
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import __version__
 from .clustering import (
+    CompositionRow,
     KMeansResult,
     best_kmeans,
     composition_audit,
@@ -44,15 +49,19 @@ from .corpus import (
 )
 from .emotion import EMOTION_COLUMNS, EmotionLexicon, character_means, emotion_rows, load_lexicon_file
 from .errors import CurveError, EmocastError, MetadataError, StaleInputError
-from .lexical import FrequencyTable, default_nouns, default_stopwords, exclusive_nouns, text_pass
+from .lexical import default_nouns, default_stopwords, exclusive_nouns, text_pass
 from .screenplay import filter_min_dialogues, parse_script
 from .stats import emotion_test_battery, gender_distribution_over_time
-from .tsne import Embedding2D, TsneConfig, scatter_svg, tsne
+from .tsne import TsneConfig, scatter_svg, tsne
 
 SCRIPT_SUFFIXES = (".txt", ".jsonl", ".json")
 DEFAULT_TOP_WORDS = 50
 K_MAX_DEFAULT = 10
 EMOTIONS_HEADER = ["movie", "name", "gender", *EMOTION_COLUMNS, "no_affect", "dialogue_count"]
+U_FIELDS = ("u1", "u2", "z", "p_value")
+WORD_FIELDS = ("word", "count")
+# The only CSV column named apart from its record key
+CLUSTERS_CSV_NAMES = {"kmeans": "kmeans_cluster", "ward": "ward_cluster"}
 
 
 @dataclass
@@ -92,17 +101,6 @@ class RunConfig:
         if self.top_words < 1:
             raise ValueError("top_words must be >= 1")
         self.output_dir.mkdir(parents=True, exist_ok=True)
-
-
-@dataclass
-class AnalysisReport:
-    summary: dict
-    tests: list[dict]
-    timebins: list[dict]
-    clusters: dict
-    projection: list[dict]
-    words: dict
-    run: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -150,13 +148,27 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
+def _write(path: Path, text: str) -> None:
+    """Replace ``path`` with ``text`` through a temp file in the same
+    directory and ``os.replace``: a run that dies mid-write leaves the old
+    file whole, never a truncated one the next stage would accept."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
+    """A header line, then one line per row, each cell through _fmt."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
+    _write(path, buf.getvalue())
 
 
 def _check_fresh(cfg: RunConfig, artifact: Path, sources: Sequence[Path], stage: str) -> None:
@@ -219,11 +231,11 @@ def stage_parse(cfg: RunConfig) -> Corpus:
     corpus = assemble_corpus(dicts, meta, provenance)
 
     characters = {movie: dict(sorted(entries.items())) for movie, entries in sorted(dicts.items())}
-    (cfg.output_dir / "characters.json").write_text(
+    _write(
+        cfg.output_dir / "characters.json",
         json.dumps(characters, indent=2, sort_keys=True, ensure_ascii=True) + "\n",
-        encoding="utf-8",
     )
-    (cfg.output_dir / "corpus.json").write_text(corpus_to_json(corpus), encoding="utf-8")
+    _write(cfg.output_dir / "corpus.json", corpus_to_json(corpus))
     s = corpus.summary()
     print(
         f"[parse] {len(dicts)} movies -> {s.characters} characters, {s.dialogues} dialogues "
@@ -232,13 +244,13 @@ def stage_parse(cfg: RunConfig) -> Corpus:
     return corpus
 
 
-def _score_text(cfg: RunConfig, corpus: Corpus) -> tuple[np.ndarray, FrequencyTable]:
+def _score_text(cfg: RunConfig, corpus: Corpus) -> tuple[np.ndarray, dict[str, Counter]]:
     """Emotion rows of every dialogue, in corpus order, and the group word counts."""
     scored = text_pass(corpus, _load_lexicon(cfg), default_stopwords())
     return emotion_rows(scored.counts), scored.words
 
 
-def stage_score(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, np.ndarray, FrequencyTable]:
+def stage_score(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, np.ndarray, dict[str, Counter]]:
     """Score the corpus text once; write per-character means to emotions.csv.
 
     Returns the character table, the dialogue emotion rows and the word
@@ -300,51 +312,21 @@ def stage_stats(cfg: RunConfig, corpus: Corpus, rows: np.ndarray) -> tuple[list[
     """
     labels = np.array([rec.gender.value for rec in corpus.records for _ in rec.dialogues], dtype=str)
     gendered = labels != Gender.UNKNOWN.value
-    battery = emotion_test_battery(rows[gendered], labels[gendered])
-    test_rows = []
-    for row in battery:
-        if row.result is None:
-            test_rows.append(
-                {"emotion": row.emotion, "u1": None, "u2": None, "z": None,
-                 "p_value": None, "higher_group": row.higher_group}
-            )
-        else:
-            test_rows.append(
-                {
-                    "emotion": row.emotion,
-                    "u1": row.result.u1,
-                    "u2": row.result.u2,
-                    "z": row.result.z,
-                    "p_value": row.result.p_value,
-                    "higher_group": row.higher_group,
-                }
-            )
-    _write_csv(
-        cfg.output_dir / "stats.csv",
-        ["emotion", "u1", "u2", "z", "p_value", "higher_group"],
-        [[r["emotion"], r["u1"], r["u2"], r["z"], r["p_value"], r["higher_group"]] for r in test_rows],
-    )
-
-    bins = gender_distribution_over_time(corpus, cfg.bin_years)
-    bin_rows = [
+    tests = [
         {
-            "bin_start": b.bin_start,
-            "bin_end": b.bin_end,
-            "female": b.female,
-            "male": b.male,
-            "unknown": b.unknown,
-            "female_pct": b.female_pct,
+            "emotion": row.emotion,
+            **{key: None if row.result is None else getattr(row.result, key) for key in U_FIELDS},
+            "higher_group": row.higher_group,
         }
-        for b in bins
+        for row in emotion_test_battery(rows[gendered], labels[gendered])
     ]
-    _write_csv(
-        cfg.output_dir / "timebins.csv",
-        ["bin_start", "bin_end", "female", "male", "unknown", "female_pct"],
-        [[r["bin_start"], r["bin_end"], r["female"], r["male"], r["unknown"], r["female_pct"]] for r in bin_rows],
-    )
-    degenerate = sum(1 for r in test_rows if r["p_value"] is None)
-    print(f"[stats] {len(test_rows)} emotion tests ({degenerate} degenerate), {len(bin_rows)} year bins")
-    return test_rows, bin_rows
+    # the battery has a row per emotion and found both groups, so neither table is empty
+    _write_csv(cfg.output_dir / "stats.csv", list(tests[0]), (test.values() for test in tests))
+    timebins = [asdict(row) for row in gender_distribution_over_time(corpus, cfg.bin_years)]
+    _write_csv(cfg.output_dir / "timebins.csv", list(timebins[0]), (row.values() for row in timebins))
+    degenerate = sum(1 for test in tests if test["p_value"] is None)
+    print(f"[stats] {len(tests)} emotion tests ({degenerate} degenerate), {len(timebins)} year bins")
+    return tests, timebins
 
 
 def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
@@ -357,15 +339,14 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     k_max = min(K_MAX_DEFAULT, n)
     best_per_k: dict[int, KMeansResult] = {}
     curve = sse_curve(matrix, 1, k_max, cfg.seed, results=best_per_k)
-    if cfg.k == "auto":
+    auto = cfg.k == "auto"
+    if auto:
         try:
             chosen_k = elbow_detect(curve)
         except CurveError:
             chosen_k = 1
-        auto = True
     else:
         chosen_k = int(cfg.k)
-        auto = False
         if chosen_k > n:
             raise ValueError(f"cluster: k={chosen_k} exceeds {n} characters")
 
@@ -376,62 +357,45 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     _, ward_assign = ward_cluster(matrix, chosen_k)
 
     genders = [gender for _, _, gender in kept]
-    female = sum(1 for g in genders if g == "female")
-    male = sum(1 for g in genders if g == "male")
-    audits = {
-        "kmeans": composition_audit(km.assignments, genders, (female, male)),
-        "ward": composition_audit(ward_assign, genders, (female, male)),
+    totals = (genders.count("female"), genders.count("male"))
+    composition = {
+        method: [asdict(row) for row in composition_audit(assign, genders, totals)]
+        for method, assign in (("kmeans", km.assignments), ("ward", ward_assign))
     }
+    assignments = [
+        {"movie": movie, "name": name, "gender": gender, "kmeans": km.assignments[i], "ward": ward_assign[i]}
+        for i, (movie, name, gender) in enumerate(kept)
+    ]
+    sse = [{"k": k, "sse": s} for k, s in curve]
 
+    out = cfg.output_dir
     _write_csv(
-        cfg.output_dir / "clusters.csv",
-        ["movie", "name", "gender", "kmeans_cluster", "ward_cluster"],
-        [
-            [*key, km.assignments[i], ward_assign[i]]
-            for i, key in enumerate(kept)
-        ],
+        out / "clusters.csv",
+        [CLUSTERS_CSV_NAMES.get(key, key) for key in assignments[0]],
+        (row.values() for row in assignments),
     )
     _write_csv(
-        cfg.output_dir / "composition.csv",
-        ["method", "cluster", "female", "male", "ratio", "expected_female", "deviation"],
-        [
-            [method, row.cluster, row.female, row.male, row.ratio, row.expected_female, row.deviation]
-            for method in ("kmeans", "ward")
-            for row in audits[method]
-        ],
+        out / "composition.csv",
+        ["method", *(f.name for f in fields(CompositionRow))],
+        ([method, *row.values()] for method, rows in composition.items() for row in rows),
     )
-    _write_csv(cfg.output_dir / "ssecurve.csv", ["k", "sse"], [[k, s] for k, s in curve])
+    _write_csv(out / "ssecurve.csv", list(sse[0]), (row.values() for row in sse))
     excluded = len(characters.keys) - n
     print(f"[cluster] k={chosen_k} ({'elbow' if auto else 'fixed'}), {n} characters, {excluded} no-affect excluded")
     return {
         "k": chosen_k,
         "auto": auto,
-        "sse_curve": [{"k": k, "sse": s} for k, s in curve],
+        "sse_curve": sse,
         "kmeans_sse": km.sse,
         "excluded_no_affect": excluded,
-        "assignments": [
-            {
-                "movie": movie,
-                "name": name,
-                "gender": gender,
-                "kmeans": km.assignments[i],
-                "ward": ward_assign[i],
-            }
-            for i, (movie, name, gender) in enumerate(kept)
-        ],
+        "assignments": assignments,
+        # JSON has no inf or nan, so a non-finite ratio is the string the CSV holds
         "composition": {
             method: [
-                {
-                    "cluster": row.cluster,
-                    "female": row.female,
-                    "male": row.male,
-                    "ratio": row.ratio if math.isfinite(row.ratio) else _fmt(row.ratio),
-                    "expected_female": row.expected_female,
-                    "deviation": row.deviation,
-                }
-                for row in audits[method]
+                {**row, "ratio": row["ratio"] if math.isfinite(row["ratio"]) else _fmt(row["ratio"])}
+                for row in rows
             ]
-            for method in ("kmeans", "ward")
+            for method, rows in composition.items()
         },
     }
 
@@ -441,45 +405,28 @@ def stage_project(cfg: RunConfig, characters: CharacterTable) -> list[dict]:
     matrix, kept = characters.with_affect()
     if len(kept) < 5:
         raise ValueError(f"project: t-SNE needs at least 5 characters with affect, have {len(kept)}")
-    embedding: Embedding2D = tsne(matrix, TsneConfig(perplexity=cfg.perplexity, seed=cfg.seed))
-    out_rows = [
-        {
-            "movie": movie,
-            "name": name,
-            "gender": gender,
-            "x": float(embedding.coords[i, 0]),
-            "y": float(embedding.coords[i, 1]),
-        }
-        for i, (movie, name, gender) in enumerate(kept)
+    embedding = tsne(matrix, TsneConfig(perplexity=cfg.perplexity, seed=cfg.seed))
+    projection = [
+        {"movie": movie, "name": name, "gender": gender, "x": x, "y": y}
+        for (movie, name, gender), (x, y) in zip(kept, embedding.coords.tolist())
     ]
-    _write_csv(
-        cfg.output_dir / "tsne.csv",
-        ["movie", "name", "gender", "x", "y"],
-        [[r["movie"], r["name"], r["gender"], r["x"], r["y"]] for r in out_rows],
-    )
-    (cfg.output_dir / "tsne.svg").write_text(
-        scatter_svg(embedding.coords, [gender for _, _, gender in kept]),
-        encoding="utf-8",
-    )
+    _write_csv(cfg.output_dir / "tsne.csv", list(projection[0]), (row.values() for row in projection))
+    _write(cfg.output_dir / "tsne.svg", scatter_svg(embedding.coords, [gender for _, _, gender in kept]))
     print(f"[project] {len(kept)} characters embedded, final KL {embedding.kl_trace[-1]:.4f}")
-    return out_rows
+    return projection
 
 
-def stage_words(cfg: RunConfig, words: FrequencyTable) -> dict:
+def stage_words(cfg: RunConfig, words: dict[str, Counter]) -> dict:
     """Exclusive noun lists per gender for word-cloud consumption."""
     contrasts = exclusive_nouns(words, default_nouns(), cfg.top_words)
-    rows = []
-    for group in sorted(contrasts):
-        for rank, (word, count) in enumerate(contrasts[group], start=1):
-            rows.append([group, word, count, rank])
-    _write_csv(cfg.output_dir / "wordfreq.csv", ["group", "word", "count", "rank"], rows)
-    print(
-        f"[words] exclusive nouns: {len(contrasts['female'])} female, {len(contrasts['male'])} male"
+    ranked = {group: [dict(zip(WORD_FIELDS, pair)) for pair in pairs] for group, pairs in contrasts.items()}
+    _write_csv(
+        cfg.output_dir / "wordfreq.csv",
+        ["group", *WORD_FIELDS, "rank"],
+        ([group, *row.values(), rank] for group in sorted(ranked) for rank, row in enumerate(ranked[group], 1)),
     )
-    return {
-        group: [{"word": word, "count": count} for word, count in pairs]
-        for group, pairs in contrasts.items()
-    }
+    print(f"[words] exclusive nouns: {len(ranked['female'])} female, {len(ranked['male'])} male")
+    return ranked
 
 
 def _staged_stats(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
@@ -498,33 +445,21 @@ STAGES: dict[str, Callable[[RunConfig], object]] = {
 }
 
 
-def run_pipeline(cfg: RunConfig) -> AnalysisReport:
+def run_pipeline(cfg: RunConfig) -> dict:
     """All six stages in order, each handed the last one's results, then
-    report.json tying the results together."""
+    report.json tying the results together. Returns the report's dict."""
     cfg.validate()
     corpus = stage_parse(cfg)
     characters, rows, word_counts = stage_score(cfg, corpus)
     tests, timebins = stage_stats(cfg, corpus, rows)
-    clusters = stage_cluster(cfg, characters)
-    projection = stage_project(cfg, characters)
-    words = stage_words(cfg, word_counts)
-
-    s = corpus.summary()
-    report = AnalysisReport(
-        summary={
-            "movies": len(corpus.provenance),
-            "characters": s.characters,
-            "dialogues": s.dialogues,
-            "female": s.female,
-            "male": s.male,
-            "unknown": s.unknown,
-        },
-        tests=tests,
-        timebins=timebins,
-        clusters=clusters,
-        projection=projection,
-        words=words,
-        run={
+    report = {
+        "summary": {"movies": len(corpus.provenance), **asdict(corpus.summary())},
+        "tests": tests,
+        "timebins": timebins,
+        "clusters": stage_cluster(cfg, characters),
+        "projection": stage_project(cfg, characters),
+        "words": stage_words(cfg, word_counts),
+        "run": {
             "seed": cfg.seed,
             "min_dialogues": cfg.min_dialogues,
             "perplexity": cfg.perplexity,
@@ -532,23 +467,7 @@ def run_pipeline(cfg: RunConfig) -> AnalysisReport:
             "version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
-    )
-    (cfg.output_dir / "report.json").write_text(
-        json.dumps(
-            {
-                "summary": report.summary,
-                "tests": report.tests,
-                "timebins": report.timebins,
-                "clusters": report.clusters,
-                "projection": report.projection,
-                "words": report.words,
-                "run": report.run,
-            },
-            indent=2,
-            ensure_ascii=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    }
+    _write(cfg.output_dir / "report.json", json.dumps(report, indent=2, ensure_ascii=True) + "\n")
     print(f"[run-all] artifacts written to {cfg.output_dir}")
     return report

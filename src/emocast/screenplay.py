@@ -241,24 +241,19 @@ def filter_min_dialogues(entries: CharacterDictionary, threshold: int = 5) -> Ch
     return {name: dialogues for name, dialogues in entries.items() if len(dialogues) >= threshold}
 
 
-def parse_script(path: str | Path, mode: str | None = None) -> CharacterDictionary:
+def parse_script(path: str | Path) -> CharacterDictionary:
     """Parse one script file end to end into its character dictionary.
 
-    ``mode`` is "text" or "positional"; when omitted it is inferred from the
-    file suffix (.jsonl or .json means positional).
+    A .jsonl or .json file holds positional blocks; any other file is text.
     """
     path = Path(path)
-    if mode is None:
-        mode = "positional" if path.suffix.lower() in (".jsonl", ".json") else "text"
     source = path.read_text(encoding="utf-8")
-    if mode == "positional":
+    if path.suffix.lower() in (".jsonl", ".json"):
         blocks = load_positional_blocks(source)
         tolerance = POSITIONAL_TOLERANCE
-    elif mode == "text":
+    else:
         blocks = load_text_blocks(source)
         tolerance = TEXT_TOLERANCE
-    else:
-        raise ValueError(f"unknown script mode {mode!r}")
     profile = infer_indent_profile(blocks, tolerance)
     return build_character_dictionary(classify_blocks(blocks, profile, tolerance))
 

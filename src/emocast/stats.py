@@ -137,22 +137,17 @@ def gender_distribution_over_time(corpus: Corpus, bin_width: int = 5) -> list[Ti
     return rows
 
 
-def emotion_test_battery(
-    matrix: Sequence[Sequence[float]],
-    labels: Sequence[str],
-    group_a: str = "female",
-    group_b: str = "male",
-    emotions: Sequence[str] = EMOTION_COLUMNS,
-) -> list[BatteryRow]:
-    """Run the U test per emotion column, sorted by ascending p-value.
+def emotion_test_battery(matrix: Sequence[Sequence[float]], labels: Sequence[str]) -> list[BatteryRow]:
+    """Run the female-vs-male U test per emotion column, sorted by ascending p-value.
 
     ``labels`` holds one group name per matrix row; rows outside the two
     groups are ignored. A constant column raises DegenerateError internally
     and is reported as a degenerate row without aborting the rest.
     """
+    group_a, group_b = Gender.FEMALE.value, Gender.MALE.value
     data = np.asarray(matrix, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(emotions):
-        raise ValueError(f"matrix must be n x {len(emotions)}")
+    if data.ndim != 2 or data.shape[1] != len(EMOTION_COLUMNS):
+        raise ValueError(f"matrix must be n x {len(EMOTION_COLUMNS)}")
     label_arr = np.asarray([str(lab) for lab in labels])
     if label_arr.shape[0] != data.shape[0]:
         raise ValueError("labels and matrix rows must align")
@@ -162,7 +157,7 @@ def emotion_test_battery(
         raise ValueError(f"need at least one row in each of {group_a!r} and {group_b!r}")
 
     rows: list[tuple[int, BatteryRow]] = []
-    for col, emotion in enumerate(emotions):
+    for col, emotion in enumerate(EMOTION_COLUMNS):
         try:
             result = mann_whitney_u(data[mask_a, col], data[mask_b, col])
         except DegenerateError:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -283,15 +283,11 @@ GENDER_PALETTE = {
     "male": "#1f77b4",
     "unknown": "#7f7f7f",
 }
+SVG_SIZE = 800  # px, width and height
+SVG_MARGIN = 40  # px
 
 
-def scatter_svg(
-    coords: np.ndarray,
-    labels: Sequence[str],
-    palette: Mapping[str, str] = GENDER_PALETTE,
-    size: int = 800,
-    margin: int = 40,
-) -> str:
+def scatter_svg(coords: np.ndarray, labels: Sequence[str]) -> str:
     """Minimal deterministic SVG scatter of the embedding, colored by label."""
     pts = np.asarray(coords, dtype=float)
     if pts.shape[0] != len(labels):
@@ -299,15 +295,15 @@ def scatter_svg(
     spans = pts.max(axis=0) - pts.min(axis=0)
     spans = np.where(spans > 0, spans, 1.0)
     lo = pts.min(axis=0)
-    scale = (size - 2 * margin) / spans
+    scale = (SVG_SIZE - 2 * SVG_MARGIN) / spans
     lines = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 {SVG_SIZE} {SVG_SIZE}">',
+        f'<rect width="{SVG_SIZE}" height="{SVG_SIZE}" fill="white"/>',
     ]
     for (x, y), label in zip(pts, labels):
-        px = margin + (x - lo[0]) * scale[0]
-        py = size - margin - (y - lo[1]) * scale[1]
-        color = palette.get(str(label).lower(), "#7f7f7f")
+        px = SVG_MARGIN + (x - lo[0]) * scale[0]
+        py = SVG_SIZE - SVG_MARGIN - (y - lo[1]) * scale[1]
+        color = GENDER_PALETTE.get(str(label).lower(), "#7f7f7f")
         lines.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="6" fill="{color}" fill-opacity="0.75"/>')
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

@@ -91,9 +91,10 @@ class TestStagedRuns:
         out2 = out.parent / "out2"
         args2 = [a if a != out else out2 for a in args]
         assert run_cli("run-all", *args2) == 0
+        # the same artifacts, and no temp file left behind by either route
+        assert sorted(os.listdir(out2)) == sorted([*staged, "report.json"])
         for name, content in staged.items():
             assert (out2 / name).read_bytes() == content, name
-        assert (out2 / "report.json").exists()
 
 
 class TestRunAll:

@@ -262,7 +262,7 @@ def assert_matches_dict_path(corpus, lexicon):
         vector, flag = aggregate_character_reference(rec.dialogues, lexicon)
         assert means[i].tolist() == [vector[name] for name in EMOTION_COLUMNS], rec.name
         assert bool(no_affect[i]) is flag
-    assert scored.words.counts == group_frequencies_reference(corpus, stopwords)
+    assert scored.words == group_frequencies_reference(corpus, stopwords)
 
 
 def parsed_corpus(scripts, metadata, lexicon, out):

@@ -9,7 +9,6 @@ import pytest
 from emocast.corpus import CharacterRecord, Corpus, Gender
 from emocast.emotion import load_lexicon
 from emocast.lexical import (
-    FrequencyTable,
     default_nouns,
     default_stopwords,
     exclusive_nouns,
@@ -44,8 +43,8 @@ class TestGroupFrequencies:
     def test_single_token_after_stopwords(self):
         corpus = corpus_of(rec(Gender.FEMALE, "the dress"))
         table = group_frequencies(corpus, stopwords={"the"})
-        assert table.counts["female"] == Counter({"dress": 1})
-        assert table.counts["male"] == Counter()
+        assert table["female"] == Counter({"dress": 1})
+        assert table["male"] == Counter()
 
     def test_shared_word_counted_in_both(self):
         corpus = corpus_of(
@@ -53,22 +52,22 @@ class TestGroupFrequencies:
             rec(Gender.MALE, "time flies", name="B"),
         )
         table = group_frequencies(corpus, stopwords=set())
-        assert table.counts["female"]["time"] == 1
-        assert table.counts["male"]["time"] == 1
+        assert table["female"]["time"] == 1
+        assert table["male"]["time"] == 1
 
     def test_empty_corpus(self):
         table = group_frequencies(corpus_of(), stopwords=set())
-        assert all(not counter for counter in table.counts.values())
+        assert all(not counter for counter in table.values())
 
     def test_unknown_characters_ignored(self):
         corpus = corpus_of(rec(Gender.UNKNOWN, "mystery words here"))
         table = group_frequencies(corpus, stopwords=set())
-        assert all(not counter for counter in table.counts.values())
+        assert all(not counter for counter in table.values())
 
     def test_short_tokens_dropped(self):
         corpus = corpus_of(rec(Gender.MALE, "o a go going"))
         table = group_frequencies(corpus, stopwords=set())
-        assert set(table.counts["male"]) == {"go", "going"}
+        assert set(table["male"]) == {"go", "going"}
 
     def test_one_count_row_per_dialogue(self):
         lexicon = load_lexicon("glad\tjoy\t1\nglad\ttrust\t1\nrage\tanger\t1\n")
@@ -84,7 +83,7 @@ class TestGroupFrequencies:
             [0, 0, 0, 0, 0, 0, 0, 0],
             [1, 0, 0, 0, 1, 0, 0, 1],
         ]
-        assert scored.words.counts == {"female": Counter({"glad": 2, "nothing": 1}), "male": Counter()}
+        assert scored.words == {"female": Counter({"glad": 2, "nothing": 1}), "male": Counter()}
 
     def test_empty_corpus_counts_shape(self):
         assert text_pass(corpus_of(), EMPTY_LEXICON, set()).counts.shape == (0, 8)
@@ -95,58 +94,45 @@ NOUNS = {"kitchen", "time", "war", "dress"}
 
 class TestExclusiveNouns:
     def test_shared_nouns_excluded(self):
-        freq = FrequencyTable(
-            counts={
-                "female": Counter({"kitchen": 5, "time": 9}),
-                "male": Counter({"time": 40, "war": 7}),
-            }
-        )
+        freq = {
+            "female": Counter({"kitchen": 5, "time": 9}),
+            "male": Counter({"time": 40, "war": 7}),
+        }
         out = exclusive_nouns(freq, NOUNS, top_n=10)
         assert out["female"] == [("kitchen", 5)]
         assert out["male"] == [("war", 7)]
 
     def test_identical_vocabularies_empty(self):
         counts = Counter({"time": 3, "war": 1})
-        freq = FrequencyTable(counts={"female": counts.copy(), "male": counts.copy()})
+        freq = {"female": counts.copy(), "male": counts.copy()}
         out = exclusive_nouns(freq, NOUNS, top_n=5)
         assert out == {"female": [], "male": []}
 
     def test_non_nouns_filtered(self):
-        freq = FrequencyTable(
-            counts={"female": Counter({"quickly": 9, "dress": 2}), "male": Counter()}
-        )
+        freq = {"female": Counter({"quickly": 9, "dress": 2}), "male": Counter()}
         out = exclusive_nouns(freq, NOUNS, top_n=5)
         assert out["female"] == [("dress", 2)]
 
     def test_rank_by_count_then_alpha(self):
-        freq = FrequencyTable(
-            counts={
-                "female": Counter({"dress": 2, "kitchen": 2, "time": 7}),
-                "male": Counter(),
-            }
-        )
+        freq = {"female": Counter({"dress": 2, "kitchen": 2, "time": 7}), "male": Counter()}
         out = exclusive_nouns(freq, NOUNS, top_n=3)
         assert out["female"] == [("time", 7), ("dress", 2), ("kitchen", 2)]
 
     def test_top_n_truncates(self):
-        freq = FrequencyTable(
-            counts={"female": Counter({"dress": 2, "kitchen": 1}), "male": Counter()}
-        )
+        freq = {"female": Counter({"dress": 2, "kitchen": 1}), "male": Counter()}
         out = exclusive_nouns(freq, NOUNS, top_n=1)
         assert out["female"] == [("dress", 2)]
 
     def test_top_n_must_be_positive(self):
         with pytest.raises(ValueError):
-            exclusive_nouns(FrequencyTable(counts={}), NOUNS, top_n=0)
+            exclusive_nouns({}, NOUNS, top_n=0)
 
     @given(
         st.dictionaries(st.sampled_from(sorted(NOUNS) + ["misc"]), st.integers(1, 9), max_size=5),
         st.dictionaries(st.sampled_from(sorted(NOUNS) + ["misc"]), st.integers(1, 9), max_size=5),
     )
     def test_outputs_disjoint_and_noun_only(self, female_counts, male_counts):
-        freq = FrequencyTable(
-            counts={"female": Counter(female_counts), "male": Counter(male_counts)}
-        )
+        freq = {"female": Counter(female_counts), "male": Counter(male_counts)}
         out = exclusive_nouns(freq, NOUNS, top_n=10)
         female_words = {w for w, _ in out["female"]}
         male_words = {w for w, _ in out["male"]}
