@@ -77,10 +77,14 @@ def ingest_metadata(text: str) -> MetadataMap:
     the two sides join cleanly. Malformed rows, out-of-range years,
     duplicate (movie, character) pairs and rows whose year disagrees with
     an earlier row of the same movie raise MetadataError with the offending
-    row number (header is row 1).
+    row number (header is row 1); a file the csv module cannot read raises
+    it with the line number.
     """
     reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a field over csv's size limit
+        raise MetadataError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise MetadataError("empty metadata file")
     header = [cell.strip().lower() for cell in rows[0]]

@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import LexiconError
+from .errors import LexiconError, read_utf8
 
 PRIMARY_EMOTIONS = (
     "anger",
@@ -104,6 +104,7 @@ EMOTION_COLUMNS = (
 )
 
 _PRIMARY_SET = frozenset(PRIMARY_EMOTIONS)
+_AFFECTS = _PRIMARY_SET | frozenset(_SENTIMENT_AFFECTS)
 
 _TOKEN_RE = re.compile(r"[^\W\d_]+(?:['’][^\W\d_]+)*")
 
@@ -132,24 +133,25 @@ def load_lexicon(text: str) -> EmotionLexicon:
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise LexiconError(f"line {lineno}: expected 3 tab-separated fields")
-        word, affect, flag = (part.strip() for part in parts)
-        affect = affect.lower()
+        try:
+            word, affect, flag = line.split("\t")
+        except ValueError:
+            raise LexiconError(f"line {lineno}: expected 3 tab-separated fields") from None
+        word = word.strip()
+        affect = affect.strip().lower()
+        flag = flag.strip()
         if not word:
             raise LexiconError(f"line {lineno}: empty word")
-        if affect not in _PRIMARY_SET and affect not in _SENTIMENT_AFFECTS:
+        if affect not in _AFFECTS:
             raise LexiconError(f"line {lineno}: unknown affect {affect!r}")
         if flag not in ("0", "1"):
             raise LexiconError(f"line {lineno}: flag must be 0 or 1, got {flag!r}")
-        if flag == "0" or affect in _SENTIMENT_AFFECTS:
-            continue
-        word = word.lower()
-        if any(ch.isspace() for ch in word):
-            skipped += 1
-            continue
-        entries.setdefault(word, set()).add(affect)
+        if flag == "1" and affect in _PRIMARY_SET:
+            word = word.lower()
+            if any(ch.isspace() for ch in word):
+                skipped += 1
+            else:
+                entries.setdefault(word, set()).add(affect)
     return EmotionLexicon(
         entries={word: frozenset(affects) for word, affects in entries.items()},
         skipped_phrases=skipped,
@@ -157,7 +159,7 @@ def load_lexicon(text: str) -> EmotionLexicon:
 
 
 def load_lexicon_file(path: str | Path) -> EmotionLexicon:
-    return load_lexicon(Path(path).read_text(encoding="utf-8"))
+    return load_lexicon(read_utf8(path))
 
 
 def tokenize(dialogue: str) -> list[str]:

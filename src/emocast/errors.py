@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the reader of input
+files that turns a UTF-8 decoding failure into one of them."""
+
+from pathlib import Path
 
 
 class EmocastError(Exception):
@@ -53,3 +56,26 @@ class CalibrationError(EmocastError):
 
 class StaleInputError(EmocastError):
     """A stage artifact is older than the configured sources (strict mode)."""
+
+
+class InputEncodingError(EmocastError):
+    """An input file is not valid UTF-8."""
+
+
+def read_utf8(path: str | Path) -> str:
+    """The text of ``path``, as ``Path.read_text(encoding="utf-8")`` gives it.
+
+    Line breaks are translated as in that call ("\\r\\n" and "\\r" become
+    "\\n"). A byte sequence that is not UTF-8 raises InputEncodingError
+    naming its line, counted over those three breaks from 1, and the byte.
+    """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = data[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise InputEncodingError(
+            f"line {line}: not valid UTF-8: {exc.reason} (byte 0x{data[exc.start]:02x})"
+        ) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")

@@ -66,9 +66,13 @@ def text_pass(corpus: Corpus, lexicon: EmotionLexicon, stopwords: set[str]) -> T
     Every affect assignment of every matched token adds one to that
     primary's count. Words are counted per gender group, without stopwords
     or tokens shorter than MIN_TOKEN_LEN; UNKNOWN characters belong to
-    neither group.
+    neither group. Each dialogue's tokens are counted as they come, and
+    the unwanted words are dropped once per distinct word at the end.
     """
     column = {affect: j for j, affect in enumerate(PRIMARY_EMOTIONS)}
+    # word -> its primaries' columns, one tuple per distinct affect set
+    shared = {affects: tuple(column[a] for a in affects) for affects in set(lexicon.entries.values())}
+    columns = {word: shared[affects] for word, affects in lexicon.entries.items()}
     words = {group: Counter() for group in GROUPS}
     rows = []
     for rec in corpus.records:
@@ -77,13 +81,15 @@ def text_pass(corpus: Corpus, lexicon: EmotionLexicon, stopwords: set[str]) -> T
             tokens = tokenize(dialogue)
             row = [0] * len(PRIMARY_EMOTIONS)
             for token in tokens:
-                for affect in lexicon.entries.get(token, ()):
-                    row[column[affect]] += 1
+                for j in columns.get(token, ()):
+                    row[j] += 1
             rows.append(row)
             if counter is not None:
-                counter.update(
-                    [token for token in tokens if len(token) >= MIN_TOKEN_LEN and token not in stopwords]
-                )
+                counter.update(tokens)
+    words = {
+        group: Counter({w: n for w, n in counter.items() if len(w) >= MIN_TOKEN_LEN and w not in stopwords})
+        for group, counter in words.items()
+    }
     counts = np.array(rows, dtype=np.int64).reshape(len(rows), len(PRIMARY_EMOTIONS))
     return TextPass(counts=counts, words=words)
 

@@ -48,7 +48,15 @@ from .corpus import (
     ingest_metadata,
 )
 from .emotion import EMOTION_COLUMNS, EmotionLexicon, character_means, emotion_rows, load_lexicon_file
-from .errors import CurveError, EmocastError, MetadataError, StaleInputError
+from .errors import (
+    CurveError,
+    EmocastError,
+    InputEncodingError,
+    LexiconError,
+    MetadataError,
+    StaleInputError,
+    read_utf8,
+)
 from .lexical import default_nouns, default_stopwords, exclusive_nouns, text_pass
 from .screenplay import filter_min_dialogues, parse_script
 from .stats import emotion_test_battery, gender_distribution_over_time
@@ -120,7 +128,11 @@ class CharacterTable:
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value config; blank lines and # comments ignored."""
     values: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = read_utf8(path)
+    except InputEncodingError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -202,7 +214,10 @@ def _load_corpus(cfg: RunConfig, stage: str) -> Corpus:
 
 
 def _load_lexicon(cfg: RunConfig) -> EmotionLexicon:
-    lexicon = load_lexicon_file(cfg.lexicon_path)
+    try:
+        lexicon = load_lexicon_file(cfg.lexicon_path)
+    except (InputEncodingError, LexiconError) as exc:
+        raise type(exc)(f"{cfg.lexicon_path.name}: {exc}") from exc
     if lexicon.skipped_phrases:
         print(
             f"warning: skipped {lexicon.skipped_phrases} multi-word lexicon entries",
@@ -225,9 +240,9 @@ def stage_parse(cfg: RunConfig) -> Corpus:
             raise type(exc)(f"{path.name}: {exc}") from exc
         provenance[movie] = path.name
     try:
-        meta = ingest_metadata(cfg.metadata_path.read_text(encoding="utf-8"))
-    except MetadataError as exc:
-        raise MetadataError(f"{cfg.metadata_path.name}: {exc}") from exc
+        meta = ingest_metadata(read_utf8(cfg.metadata_path))
+    except (InputEncodingError, MetadataError) as exc:
+        raise type(exc)(f"{cfg.metadata_path.name}: {exc}") from exc
     corpus = assemble_corpus(dicts, meta, provenance)
 
     characters = {movie: dict(sorted(entries.items())) for movie, entries in sorted(dicts.items())}
@@ -452,6 +467,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     corpus = stage_parse(cfg)
     characters, rows, word_counts = stage_score(cfg, corpus)
     tests, timebins = stage_stats(cfg, corpus, rows)
+    del rows  # no later stage reads the dialogue rows; cluster and project can reuse their memory
     report = {
         "summary": {"movies": len(corpus.provenance), **asdict(corpus.summary())},
         "tests": tests,

@@ -4,19 +4,25 @@ Movie scripts lay out their structural blocks at distinct left offsets:
 scene descriptions hug the left margin, dialogue sits further in, and the
 speaker cue above each dialogue is indented deepest and written in capitals.
 This module turns a script (plain text, or JSON-lines blocks carrying pixel
-offsets extracted from a positional source) into classified blocks and then
-into a per-character dialogue dictionary.
+offsets extracted from a positional source) into ``RawBlock`` tuples, infers
+the three indent levels from their offsets, and then makes one pass that
+classifies each block and collects the dialogue runs into a per-character
+dialogue dictionary.
 
 Two input modes share the same downstream path:
 
-* plain text: one ``RawBlock`` per non-blank physical line, ``left`` equal to
-  the count of leading spaces (tabs expanded to 8-column stops);
+* plain text: one ``RawBlock`` per non-blank line as ``str.splitlines``
+  cuts it, ``left`` equal to the count of leading spaces (tabs expanded to
+  8-column stops);
 * positional: one JSON object per line, ``{"text", "left", "top"}``, already
-  ordered by reading position, with ``left`` in pixels.
+  ordered by reading position, with ``left`` in pixels. Lines end only at
+  "\\r\\n", "\\r" and "\\n", the breaks JSON never leaves raw inside a
+  string, so a text holding U+2028, U+2029 or U+0085 stays one record.
 
 Classification tolerates a small wobble around each profile offset because
 real scripts centre cues raggedly: +/-2 columns in text mode, +/-8 px in
-positional mode.
+positional mode. A script file that is not UTF-8 raises InputEncodingError
+naming the line.
 """
 
 from __future__ import annotations
@@ -25,10 +31,10 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum, auto
 from pathlib import Path
+from typing import NamedTuple
 
-from .errors import CharacterNameError, ProfileError
+from .errors import CharacterNameError, ProfileError, read_utf8
 
 # Per-character dialogue store: normalized name -> ordered dialogues.
 CharacterDictionary = dict[str, list[str]]
@@ -38,20 +44,10 @@ POSITIONAL_TOLERANCE = 8
 
 _PAREN_GROUP_RE = re.compile(r"\([^()]*\)")
 _WS_RUN_RE = re.compile(r"\s+")
-_SLUG_PREFIXES = ("INT.", "EXT.", "INT/", "EXT/", "I/E.")
+_DECODER = json.JSONDecoder()
 
 
-class BlockKind(Enum):
-    SCENE_HEADING = auto()
-    ACTION = auto()
-    CHARACTER_CUE = auto()
-    DIALOGUE = auto()
-    PARENTHETICAL = auto()
-    OTHER = auto()
-
-
-@dataclass(frozen=True)
-class RawBlock:
+class RawBlock(NamedTuple):
     """One positioned text block: a physical line or extracted element."""
 
     text: str
@@ -79,50 +75,63 @@ def load_text_blocks(source: str) -> list[RawBlock]:
     """Split plain script text into blocks, one per non-blank line."""
     blocks = []
     for i, line in enumerate(source.splitlines()):
-        line = line.expandtabs()
+        if "\t" in line:
+            line = line.expandtabs()
         text = line.strip()
-        if not text:
-            continue
-        left = len(line) - len(line.lstrip(" "))
-        blocks.append(RawBlock(text=text, left=left, order=i))
+        if text:
+            blocks.append(RawBlock(text, len(line) - len(line.lstrip(" ")), i))
     return blocks
 
 
+def _decode_record(line: str) -> object:
+    """``json.loads(line)``: ``raw_decode`` for a record that fills its line,
+    ``json.loads`` itself for padding it allows or the error it raises."""
+    try:
+        obj, end = _DECODER.raw_decode(line)
+    except json.JSONDecodeError:
+        return json.loads(line)
+    return obj if end == len(line) else json.loads(line)
+
+
 def load_positional_blocks(source: str) -> list[RawBlock]:
-    """Parse JSON-lines blocks ({"text", "left", "top"}) in reading order."""
+    """Parse JSON-lines blocks ({"text", "left", "top"}) in reading order.
+
+    Records end only at "\\r\\n", "\\r" or "\\n", the three line breaks JSON
+    forbids raw inside a string; a record whose text holds U+2028, U+2029
+    or U+0085 stays whole. Line numbers count those breaks.
+    """
     blocks = []
-    for i, line in enumerate(source.splitlines()):
+    for i, line in enumerate(source.replace("\r\n", "\n").replace("\r", "\n").split("\n")):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
+            obj = _decode_record(line)
             text = str(obj["text"]).strip()
             left = int(obj["left"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad positional block on line {i + 1}: {exc}") from exc
         if left < 0:
             raise ValueError(f"bad positional block on line {i + 1}: negative left offset")
-        if not text:
-            continue
-        blocks.append(RawBlock(text=text, left=left, order=i))
+        if text:
+            blocks.append(RawBlock(text, left, i))
     return blocks
 
 
 def infer_indent_profile(blocks: list[RawBlock], tolerance: int = TEXT_TOLERANCE) -> IndentProfile:
     """Pick the three most populated offset levels as action/dialogue/cue.
 
-    Offsets are first grouped into levels: the most frequent offset not yet
-    grouped takes every ungrouped offset within ``tolerance`` of it, so
-    jittered copies of one level count together. Each level sits at the
-    centre of its offsets' span (rounded down), which keeps every grouped
-    offset within ``tolerance`` of it for ``classify_blocks``. Frequency
-    ties, both when seeding groups and when ranking levels, go to the
-    smaller offset so the result is deterministic. Raises ProfileError
-    when fewer than three levels occur.
+    Only the blocks' offsets are read. They are first grouped into levels:
+    the most frequent offset not yet grouped takes every ungrouped offset
+    within ``tolerance`` of it, so jittered copies of one level count
+    together. Each level sits at the centre of its offsets' span (rounded
+    down), which keeps every grouped offset within ``tolerance`` of it for
+    ``build_character_dictionary``. Frequency ties, both when seeding groups
+    and when ranking levels, go to the smaller offset so the result is
+    deterministic. Raises ProfileError when fewer than three levels occur.
     """
     if not blocks:
         raise ProfileError("no blocks to profile")
-    counts = Counter(b.left for b in blocks)
+    counts = Counter(left for _, left, _ in blocks)
     ungrouped = set(counts)
     levels = []  # (blocks in the level, level offset)
     for seed, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -139,44 +148,6 @@ def infer_indent_profile(blocks: list[RawBlock], tolerance: int = TEXT_TOLERANCE
     top3 = sorted(levels, key=lambda level: (-level[0], level[1]))[:3]
     action, dialogue, cue = sorted(left for _, left in top3)
     return IndentProfile(action, dialogue, cue)
-
-
-def _is_all_caps(text: str) -> bool:
-    return text.isupper()
-
-
-def _is_parenthetical(text: str) -> bool:
-    return text.startswith("(") and text.endswith(")")
-
-
-def _is_slugline(text: str) -> bool:
-    return text.upper().startswith(_SLUG_PREFIXES)
-
-
-def classify_blocks(
-    blocks: list[RawBlock],
-    profile: IndentProfile,
-    tolerance: int = TEXT_TOLERANCE,
-) -> list[tuple[RawBlock, BlockKind]]:
-    """Assign exactly one BlockKind to every block.
-
-    A block matches a profile level when its left offset is within
-    ``tolerance`` of it. Cue candidates must additionally be all-caps, which
-    rejects centred transitions sharing the cue offset. Blocks matching no
-    level become OTHER.
-    """
-    classified = []
-    for b in blocks:
-        if abs(b.left - profile.cue_indent) <= tolerance and _is_all_caps(b.text):
-            kind = BlockKind.CHARACTER_CUE
-        elif abs(b.left - profile.dialogue_indent) <= tolerance:
-            kind = BlockKind.PARENTHETICAL if _is_parenthetical(b.text) else BlockKind.DIALOGUE
-        elif abs(b.left - profile.action_indent) <= tolerance:
-            kind = BlockKind.SCENE_HEADING if _is_slugline(b.text) else BlockKind.ACTION
-        else:
-            kind = BlockKind.OTHER
-        classified.append((b, kind))
-    return classified
 
 
 def normalize_character_name(raw: str) -> str:
@@ -196,41 +167,52 @@ def normalize_character_name(raw: str) -> str:
 
 
 def build_character_dictionary(
-    classified: list[tuple[RawBlock, BlockKind]],
+    blocks: list[RawBlock],
+    profile: IndentProfile,
+    tolerance: int = TEXT_TOLERANCE,
 ) -> CharacterDictionary:
-    """Collect dialogue runs under their preceding character cue.
+    """Classify each block by its offset and collect dialogue runs under
+    their preceding character cue.
 
-    Consecutive DIALOGUE blocks form one dialogue, joined with single
-    spaces. PARENTHETICAL blocks inside a run are dropped without breaking
-    it. Any other kind ends the run, and dialogue with no live cue before
-    it is discarded.
+    A block is at a profile level when its left offset is within
+    ``tolerance`` of it. At the cue level an all-caps block is a cue, which
+    rejects centred transitions sharing the cue offset; its name is
+    normalized, and a cue with nothing left of its name is no live cue.
+    At the dialogue level a block wrapped in parentheses is a
+    parenthetical; any other block is dialogue. Every other block (action,
+    scene headings, a lowercase line at the cue level, an offset matching
+    no level) ends the run and the live cue.
+
+    Consecutive dialogue blocks form one dialogue, joined with single
+    spaces. Parentheticals inside a run are dropped without breaking it,
+    and dialogue with no live cue before it is discarded.
     """
     entries: CharacterDictionary = {}
+    names: dict[str, str | None] = {}  # cue text -> normalized name, None if unusable
     current: str | None = None
     run: list[str] = []
-
-    def flush() -> None:
-        nonlocal run
-        if current is not None and run:
-            entries.setdefault(current, []).append(" ".join(run))
-        run = []
-
-    for block, kind in classified:
-        if kind is BlockKind.CHARACTER_CUE:
-            flush()
-            try:
-                current = normalize_character_name(block.text)
-            except CharacterNameError:
-                current = None
-        elif kind is BlockKind.DIALOGUE:
-            if current is not None and block.text:
-                run.append(block.text)
-        elif kind is BlockKind.PARENTHETICAL:
+    cue_lo, cue_hi = profile.cue_indent - tolerance, profile.cue_indent + tolerance
+    dialogue_lo, dialogue_hi = profile.dialogue_indent - tolerance, profile.dialogue_indent + tolerance
+    for text, left, _ in blocks:
+        is_cue = cue_lo <= left <= cue_hi and text.isupper()
+        if not is_cue and dialogue_lo <= left <= dialogue_hi:
+            if current is not None and text and not (text[0] == "(" and text[-1] == ")"):
+                run.append(text)
             continue
-        else:
-            flush()
+        if run:
+            entries.setdefault(current, []).append(" ".join(run))
+            run = []
+        if not is_cue:
             current = None
-    flush()
+            continue
+        if text not in names:
+            try:
+                names[text] = normalize_character_name(text)
+            except CharacterNameError:
+                names[text] = None
+        current = names[text]
+    if run:
+        entries.setdefault(current, []).append(" ".join(run))
     return entries
 
 
@@ -247,13 +229,12 @@ def parse_script(path: str | Path) -> CharacterDictionary:
     A .jsonl or .json file holds positional blocks; any other file is text.
     """
     path = Path(path)
-    source = path.read_text(encoding="utf-8")
+    source = read_utf8(path)
     if path.suffix.lower() in (".jsonl", ".json"):
         blocks = load_positional_blocks(source)
         tolerance = POSITIONAL_TOLERANCE
     else:
         blocks = load_text_blocks(source)
         tolerance = TEXT_TOLERANCE
-    profile = infer_indent_profile(blocks, tolerance)
-    return build_character_dictionary(classify_blocks(blocks, profile, tolerance))
+    return build_character_dictionary(blocks, infer_indent_profile(blocks, tolerance), tolerance)
 

@@ -5,20 +5,31 @@ from direct pair enumeration, Ward merges from full SSE recomputation (and,
 at sizes where that is too slow, from the first dense Ward kernel), the
 k-means optimum from exhaustive partition search (and each Lloyd run from
 the loop the package shipped first), silhouette from the textbook
-definition, the t-SNE descent from the loop the package shipped first, and
+definition, the t-SNE descent from the loop the package shipped first,
 dialogue emotions from the per-dialogue dict path the package shipped
-first.
+first, and the script parser and lexicon reader from the per-block and
+per-row code the package shipped first.
 """
 
+import json
 import math
 from collections import Counter
+from dataclasses import dataclass
+from enum import Enum, auto
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 
 from emocast.clustering import KMeansResult, _kmeanspp_init, _repair_empty
 from emocast.emotion import DYADS, EMOTION_COLUMNS, PRIMARY_EMOTIONS, tokenize
-from emocast.errors import InvariantError
+from emocast.errors import CharacterNameError, InvariantError, LexiconError, ProfileError
+from emocast.screenplay import (
+    POSITIONAL_TOLERANCE,
+    TEXT_TOLERANCE,
+    IndentProfile,
+    normalize_character_name,
+)
 from emocast.tsne import (
     KL_RECORD_EVERY,
     MOMENTUM_SWITCH_ITER,
@@ -353,3 +364,198 @@ def group_frequencies_reference(corpus, stopwords, min_len=2):
                     if len(token) >= min_len and token not in stopwords:
                         counts[rec.gender.value][token] += 1
     return counts
+
+
+_PRIMARY_SET = frozenset(PRIMARY_EMOTIONS)
+
+
+@dataclass(frozen=True)
+class RawBlock:
+    """The block the first parser built: a frozen dataclass, one per line."""
+
+    text: str
+    left: int
+    order: int
+
+
+def load_text_blocks_reference(source):
+    """One block per non-blank line: tabs expanded on every line."""
+    blocks = []
+    for i, line in enumerate(source.splitlines()):
+        line = line.expandtabs()
+        text = line.strip()
+        if not text:
+            continue
+        left = len(line) - len(line.lstrip(" "))
+        blocks.append(RawBlock(text=text, left=left, order=i))
+    return blocks
+
+
+def load_positional_blocks_reference(source):
+    """One block per JSON line, split by ``str.splitlines`` and read by ``json.loads``."""
+    blocks = []
+    for i, line in enumerate(source.splitlines()):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            text = str(obj["text"]).strip()
+            left = int(obj["left"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad positional block on line {i + 1}: {exc}") from exc
+        if left < 0:
+            raise ValueError(f"bad positional block on line {i + 1}: negative left offset")
+        if not text:
+            continue
+        blocks.append(RawBlock(text=text, left=left, order=i))
+    return blocks
+
+
+def infer_indent_profile_reference(blocks, tolerance=TEXT_TOLERANCE):
+    """Group offsets into levels around the most frequent ungrouped offset."""
+    if not blocks:
+        raise ProfileError("no blocks to profile")
+    counts = Counter(b.left for b in blocks)
+    ungrouped = set(counts)
+    levels = []
+    for seed, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
+        if seed not in ungrouped:
+            continue
+        members = sorted(left for left in ungrouped if abs(left - seed) <= tolerance)
+        ungrouped.difference_update(members)
+        levels.append((sum(counts[left] for left in members), (members[0] + members[-1]) // 2))
+    if len(levels) < 3:
+        raise ProfileError(
+            f"need at least 3 distinct left offset levels (within {tolerance} grouped), "
+            f"found {len(levels)}"
+        )
+    top3 = sorted(levels, key=lambda level: (-level[0], level[1]))[:3]
+    action, dialogue, cue = sorted(left for _, left in top3)
+    return IndentProfile(action, dialogue, cue)
+
+
+class BlockKind(Enum):
+    SCENE_HEADING = auto()
+    ACTION = auto()
+    CHARACTER_CUE = auto()
+    DIALOGUE = auto()
+    PARENTHETICAL = auto()
+    OTHER = auto()
+
+
+def _is_all_caps(text):
+    return text.isupper()
+
+
+def _is_parenthetical(text):
+    return text.startswith("(") and text.endswith(")")
+
+
+def _is_slugline(text):
+    return text.upper().startswith(("INT.", "EXT.", "INT/", "EXT/", "I/E."))
+
+
+def classify_blocks_reference(blocks, profile, tolerance=TEXT_TOLERANCE):
+    """Exactly one BlockKind per block, from its offset and its text."""
+    classified = []
+    for b in blocks:
+        if abs(b.left - profile.cue_indent) <= tolerance and _is_all_caps(b.text):
+            kind = BlockKind.CHARACTER_CUE
+        elif abs(b.left - profile.dialogue_indent) <= tolerance:
+            kind = BlockKind.PARENTHETICAL if _is_parenthetical(b.text) else BlockKind.DIALOGUE
+        elif abs(b.left - profile.action_indent) <= tolerance:
+            kind = BlockKind.SCENE_HEADING if _is_slugline(b.text) else BlockKind.ACTION
+        else:
+            kind = BlockKind.OTHER
+        classified.append((b, kind))
+    return classified
+
+
+def build_character_dictionary_reference(classified):
+    """Dialogue runs under their preceding cue, from classified blocks."""
+    entries = {}
+    current = None
+    run = []
+
+    def flush():
+        nonlocal run
+        if current is not None and run:
+            entries.setdefault(current, []).append(" ".join(run))
+        run = []
+
+    for block, kind in classified:
+        if kind is BlockKind.CHARACTER_CUE:
+            flush()
+            try:
+                current = normalize_character_name(block.text)
+            except CharacterNameError:
+                current = None
+        elif kind is BlockKind.DIALOGUE:
+            if current is not None and block.text:
+                run.append(block.text)
+        elif kind is BlockKind.PARENTHETICAL:
+            continue
+        else:
+            flush()
+            current = None
+    flush()
+    return entries
+
+
+def parse_script_reference(path):
+    """The whole reference parse of one script file."""
+    path = Path(path)
+    source = path.read_text(encoding="utf-8")
+    if path.suffix.lower() in (".jsonl", ".json"):
+        blocks, tolerance = load_positional_blocks_reference(source), POSITIONAL_TOLERANCE
+    else:
+        blocks, tolerance = load_text_blocks_reference(source), TEXT_TOLERANCE
+    profile = infer_indent_profile_reference(blocks, tolerance)
+    return build_character_dictionary_reference(classify_blocks_reference(blocks, profile, tolerance))
+
+
+def load_lexicon_reference(text):
+    """(word -> frozenset of primaries, skipped phrase rows), one row at a time."""
+    entries = {}
+    skipped = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise LexiconError(f"line {lineno}: expected 3 tab-separated fields")
+        word, affect, flag = (part.strip() for part in parts)
+        affect = affect.lower()
+        if not word:
+            raise LexiconError(f"line {lineno}: empty word")
+        if affect not in _PRIMARY_SET and affect not in ("positive", "negative"):
+            raise LexiconError(f"line {lineno}: unknown affect {affect!r}")
+        if flag not in ("0", "1"):
+            raise LexiconError(f"line {lineno}: flag must be 0 or 1, got {flag!r}")
+        if flag == "0" or affect in ("positive", "negative"):
+            continue
+        word = word.lower()
+        if any(ch.isspace() for ch in word):
+            skipped += 1
+            continue
+        entries.setdefault(word, set()).add(affect)
+    return {word: frozenset(affects) for word, affects in entries.items()}, skipped
+
+
+def text_pass_reference(corpus, lexicon, stopwords, min_len=2):
+    """(dialogue x 8 count rows, group word Counters), one token list per dialogue."""
+    column = {affect: j for j, affect in enumerate(PRIMARY_EMOTIONS)}
+    words = {"female": Counter(), "male": Counter()}
+    rows = []
+    for rec in corpus.records:
+        counter = words.get(rec.gender.value)
+        for dialogue in rec.dialogues:
+            tokens = tokenize(dialogue)
+            row = [0] * len(PRIMARY_EMOTIONS)
+            for token in tokens:
+                for affect in lexicon.entries.get(token, ()):
+                    row[column[affect]] += 1
+            rows.append(row)
+            if counter is not None:
+                counter.update([t for t in tokens if len(t) >= min_len and t not in stopwords])
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(PRIMARY_EMOTIONS)), words

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import shutil
 import time
 
 import pytest
@@ -201,6 +202,45 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "parse" in err and "flatfile.txt" in err
+
+    @pytest.mark.parametrize(
+        "command, name",
+        [
+            ("parse", "scripts/harbor_lights.txt"),
+            ("run-all", "scripts/glass_orchard.jsonl"),
+            ("parse", "metadata.csv"),
+            ("run-all", "metadata.csv"),
+            ("run-all", "lexicon.tsv"),
+            ("score", "lexicon.tsv"),
+        ],
+    )
+    def test_non_utf8_input_names_file_and_line(self, fixtures_dir, tmp_path, capsys, command, name):
+        inputs = tmp_path / "inputs"
+        shutil.copytree(fixtures_dir, inputs, ignore=shutil.ignore_patterns("golden"))
+        args = [
+            "--scripts", inputs / "scripts",
+            "--metadata", inputs / "metadata.csv",
+            "--lexicon", inputs / "lexicon.tsv",
+            "--out", tmp_path / "out",
+        ]
+        if command == "score":
+            assert run_cli("parse", *args) == 0
+        path = inputs / name
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run_cli(command, *args) == 1
+        err = capsys.readouterr().err
+        assert f"error in stage {command}: {path.name}: line 3: not valid UTF-8" in err
+        assert err.count("\n") == 1  # one error line, no traceback
+
+    def test_non_utf8_config_names_file_and_line(self, fixture_args, tmp_path, capsys):
+        args, _ = fixture_args
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"seed = 1\r\nk = 2\r\n# caf\xe9\r\n")
+        assert run_cli("parse", *args, "--config", config) == 2
+        assert f"{config}: line 3: not valid UTF-8" in capsys.readouterr().err
 
     def _cluster_with_emotions_line(self, fixture_args, capsys, lineno, mangle):
         args, out = fixture_args

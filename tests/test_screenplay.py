@@ -6,12 +6,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from emocast.errors import CharacterNameError, ProfileError
+
+from oracles import build_character_dictionary_reference, classify_blocks_reference
 from emocast.screenplay import (
-    BlockKind,
     IndentProfile,
     RawBlock,
     build_character_dictionary,
-    classify_blocks,
     filter_min_dialogues,
     infer_indent_profile,
     load_positional_blocks,
@@ -67,34 +67,50 @@ def test_jittered_positional_script_parses_to_golden(fixtures_dir, tmp_path):
 
 
 class TestClassifyBlocks:
+    """How build_character_dictionary classifies one block, read from its
+    effect on a run: a live cue ZED has said "first." and says "last." after
+    the probe block."""
+
     def classify_one(self, text, left, tolerance=2):
-        [(_, kind)] = classify_blocks([RawBlock(text, left, 0)], PROFILE, tolerance)
-        return kind
+        blocks = [
+            RawBlock("ZED", 38, 0), RawBlock("first.", 25, 1), RawBlock(text, left, 2), RawBlock("last.", 25, 3)
+        ]
+        out = build_character_dictionary(blocks, PROFILE, tolerance)
+        effects = {
+            "dialogue": {"ZED": [f"first. {text} last."]},
+            "parenthetical": {"ZED": ["first. last."]},
+            "ends run": {"ZED": ["first."]},
+        }
+        for kind, effect in effects.items():
+            if out == effect:
+                return kind
+        assert out == {"ZED": ["first."], normalize_character_name(text): ["last."]}, out
+        return "cue"
 
     def test_cue(self):
-        assert self.classify_one("HARRY", 38) is BlockKind.CHARACTER_CUE
+        assert self.classify_one("HARRY", 38) == "cue"
 
     def test_parenthetical(self):
-        assert self.classify_one("(whispering)", 25) is BlockKind.PARENTHETICAL
+        assert self.classify_one("(whispering)", 25) == "parenthetical"
 
     def test_scene_heading(self):
-        assert self.classify_one("INT. CASTLE - NIGHT", 10) is BlockKind.SCENE_HEADING
+        assert self.classify_one("INT. CASTLE - NIGHT", 10) == "ends run"
 
     def test_dialogue(self):
-        assert self.classify_one("I know.", 25) is BlockKind.DIALOGUE
+        assert self.classify_one("I know.", 25) == "dialogue"
 
     def test_action(self):
-        assert self.classify_one("Harry walks in.", 10) is BlockKind.ACTION
+        assert self.classify_one("Harry walks in.", 10) == "ends run"
 
     def test_lowercase_at_cue_indent_is_other(self):
-        assert self.classify_one("fade out", 38) is BlockKind.OTHER
+        assert self.classify_one("fade out", 38) == "ends run"
 
     def test_unmatched_offset_is_other(self):
-        assert self.classify_one("TITLE CARD", 18) is BlockKind.OTHER
+        assert self.classify_one("TITLE CARD", 18) == "ends run"
 
     def test_tolerance_window(self):
-        assert self.classify_one("HARRY", 40) is BlockKind.CHARACTER_CUE
-        assert self.classify_one("HARRY", 41) is BlockKind.OTHER
+        assert self.classify_one("HARRY", 40) == "cue"
+        assert self.classify_one("HARRY", 41) == "ends run"
 
     @given(
         st.lists(
@@ -103,10 +119,10 @@ class TestClassifyBlocks:
         )
     )
     def test_total_every_block_classified_once(self, spec):
+        # one kind per block, by the rule of the classify-then-collect pair it replaced
         blocks = [RawBlock(text, left, i) for i, (text, left) in enumerate(spec)]
-        out = classify_blocks(blocks, PROFILE)
-        assert [b for b, _ in out] == blocks
-        assert all(isinstance(kind, BlockKind) for _, kind in out)
+        out = build_character_dictionary(blocks, PROFILE)
+        assert out == build_character_dictionary_reference(classify_blocks_reference(blocks, PROFILE))
 
 
 class TestNormalizeCharacterName:
@@ -128,47 +144,51 @@ class TestNormalizeCharacterName:
 
 
 def cue(name, order):
-    return (RawBlock(name, 38, order), BlockKind.CHARACTER_CUE)
+    return RawBlock(name, 38, order)
 
 
 def dlg(text, order):
-    return (RawBlock(text, 25, order), BlockKind.DIALOGUE)
+    return RawBlock(text, 25, order)
 
 
 def par(text, order):
-    return (RawBlock(text, 25, order), BlockKind.PARENTHETICAL)
+    return RawBlock(text, 25, order)
 
 
 def act(text, order):
-    return (RawBlock(text, 10, order), BlockKind.ACTION)
+    return RawBlock(text, 10, order)
+
+
+def build(blocks):
+    return build_character_dictionary(blocks, PROFILE)
 
 
 class TestBuildCharacterDictionary:
     def test_consecutive_dialogue_joined(self):
-        out = build_character_dictionary([cue("HARRY", 0), dlg("I know.", 1), dlg("Trust me.", 2)])
+        out = build([cue("HARRY", 0), dlg("I know.", 1), dlg("Trust me.", 2)])
         assert out == {"HARRY": ["I know. Trust me."]}
 
     def test_parenthetical_dropped(self):
-        out = build_character_dictionary([cue("HARRY", 0), par("(quietly)", 1), dlg("Yes.", 2)])
+        out = build([cue("HARRY", 0), par("(quietly)", 1), dlg("Yes.", 2)])
         assert out == {"HARRY": ["Yes."]}
 
     def test_orphan_dialogue_discarded(self):
-        assert build_character_dictionary([dlg("orphan line", 0)]) == {}
+        assert build([dlg("orphan line", 0)]) == {}
 
     def test_action_breaks_attribution(self):
-        out = build_character_dictionary(
+        out = build(
             [cue("HARRY", 0), dlg("Hello.", 1), act("A door slams.", 2), dlg("Orphaned.", 3)]
         )
         assert out == {"HARRY": ["Hello."]}
 
     def test_new_cue_starts_new_dialogue(self):
-        out = build_character_dictionary(
+        out = build(
             [cue("HARRY", 0), dlg("One.", 1), cue("HARRY (V.O.)", 2), dlg("Two.", 3)]
         )
         assert out == {"HARRY": ["One.", "Two."]}
 
     def test_unusable_cue_orphans_following_dialogue(self):
-        out = build_character_dictionary([cue("(V.O.)", 0), dlg("Floating words.", 1)])
+        out = build([cue("(V.O.)", 0), dlg("Floating words.", 1)])
         assert out == {}
 
     @given(
@@ -184,7 +204,7 @@ class TestBuildCharacterDictionary:
     def test_keys_always_normalized(self, spec):
         makers = {"cue": cue, "dlg": dlg, "act": act}
         classified = [makers[kind](text, i) for i, (kind, text) in enumerate(spec)]
-        out = build_character_dictionary(classified)
+        out = build(classified)
         for key, dialogues in out.items():
             assert key == normalize_character_name(key)
             assert all(d for d in dialogues)
