@@ -186,8 +186,11 @@ def kmeans(
     """Lloyd iterations from a k-means++ start until assignments stabilize.
 
     Nearest-centroid ties go to the lowest centroid index; an emptied
-    cluster is reseeded with the farthest point. SSE never increases
-    across iterations; an increase raises InvariantError.
+    cluster is reseeded with the farthest point. Identical rows share a
+    nearest centroid, so with fewer distinct rows than k every iteration
+    empties a cluster again: the loop then stops after its first repaired
+    iteration. SSE never increases across iterations; an increase raises
+    InvariantError.
     """
     X = _as_matrix(points)
     n, dim = X.shape
@@ -206,6 +209,7 @@ def kmeans(
     prev_assign = np.empty(n, dtype=np.intp)
     previous = np.empty_like(centers)
     prev_sse = math.inf
+    too_few_rows = False
     for iterations in range(1, max_iter + 1):
         _nearest_centres(X, centers, assign, upper, lower, scratch)
         counts = np.bincount(assign, minlength=k)
@@ -214,6 +218,7 @@ def kmeans(
             counts = np.bincount(assign, minlength=k)
             upper.fill(np.inf)  # a centre jumped and a point changed cluster
             lower.fill(0.0)
+            too_few_rows = len(np.unique(X, axis=0)) < k  # then no repair can hold
         if iterations > 1 and np.array_equal(assign, prev_assign):
             break
         previous[...] = centers
@@ -236,6 +241,8 @@ def kmeans(
             )
         prev_assign[...] = assign
         prev_sse = sse
+        if too_few_rows:
+            break
 
     sse = float(((X - centers[assign]) ** 2).sum())
     return KMeansResult(

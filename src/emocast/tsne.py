@@ -171,17 +171,6 @@ def _gradient(
     return 4.0 * (W.sum(axis=1)[:, None] * coords - W @ coords)
 
 
-def kl_divergence(P: np.ndarray, coords: np.ndarray) -> float:
-    """KL(P || Q) of the joint distributions for an embedding state."""
-    mask = P > 0
-    return _kl(P[mask], mask, *_student_t_kernel(coords))
-
-
-def kl_gradient(P: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Analytic gradient of kl_divergence with respect to the coordinates."""
-    return _gradient(P, coords, *_student_t_kernel(coords))
-
-
 def joint_probabilities(points: np.ndarray, perplexity: float) -> np.ndarray:
     """Symmetrized joint P from the calibrated conditionals; sums to one."""
     d2 = pairwise_sq_distances(points)

@@ -195,7 +195,8 @@ def kmeans_reference(points, k, seed, max_iter=300):
     for iterations in range(1, max_iter + 1):
         diff = X[:, None, :] - centers[None, :, :]
         assign = np.einsum("nkd,nkd->nk", diff, diff).argmin(axis=1)
-        repairs += int(np.bincount(assign, minlength=k).min() == 0)
+        repaired = np.bincount(assign, minlength=k).min() == 0
+        repairs += int(repaired)
         assign = _repair_empty(X, centers, assign, k)
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
@@ -205,6 +206,8 @@ def kmeans_reference(points, k, seed, max_iter=300):
         if math.isfinite(prev_sse) and sse > prev_sse + 1e-9 * (1.0 + prev_sse):
             raise InvariantError(f"kmeans: SSE rose from {prev_sse!r} to {sse!r}")
         prev_assign, prev_sse = assign.copy(), sse
+        if repaired and len(np.unique(X, axis=0)) < k:
+            break  # identical rows share a centre: the repair cannot hold
 
     sse = float(((X - centers[assign]) ** 2).sum())
     result = KMeansResult(

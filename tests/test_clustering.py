@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import emocast.clustering
 from emocast.clustering import (
+    KMEANS_MAX_ITER,
     _as_matrix,
     _nearest_centres,
     best_kmeans,
@@ -154,6 +155,21 @@ class TestMatchesReferenceLoop:
             pts = few_distinct(rng, int(rng.integers(20, 60)))
             repaired += self.check(pts, int(rng.integers(4, 9)), seed) > 0
         assert repaired == 20
+
+    @pytest.mark.parametrize("seed, k", [(2534, 12), (2843, 12), (5551, 10)])
+    def test_repair_that_holds(self, seed, k):
+        # 30 distinct rows: the repaired cluster keeps its point and the loop goes on
+        pts = np.random.default_rng(seed).normal(size=(30, 1))
+        assert self.check(pts, k, seed) == 1
+        assert kmeans(pts, k, seed).iterations == 4
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fewer_distinct_rows_than_k_stop(self, seed):
+        pts = few_distinct(np.random.default_rng(seed), 50)
+        self.check(pts, 8, seed)
+        result = kmeans(pts, 8, seed)
+        assert result.iterations < KMEANS_MAX_ITER
+        assert sorted(set(result.assignments)) == list(range(8))
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_k_one_and_k_n(self, seed):
