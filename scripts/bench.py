@@ -18,7 +18,11 @@ further run, or per-row work counters.
 * ``ward``: ``clustering.ward_cluster`` cut at k = 6 against
   ``ward_dense_reference``, with peak memory. The dense kernel holds a
   (2n-1)^2 cost matrix plus an n x n x 32 difference tensor, so it runs
-  only up to n = 1500.
+  only up to n = 1500. At every n the history is also checked against
+  ``scipy.cluster.hierarchy.linkage(method="ward")``, code that shares
+  nothing with ours: the same partition at k = 6, and each merge cost
+  equal to ``height**2 / 2`` within 1e-12 relative once both are sorted
+  (``scipy_agrees``).
 * ``text``: ``parse_script`` (.txt and .jsonl), ``load_lexicon`` and
   ``text_pass`` against their per-block and per-row references, on the
   benchmark's ``long-scripts`` corpus (``emobench/corpus_gen.py``) at 1x,
@@ -32,7 +36,7 @@ the bits of BLAS products and how much CPU time they take.
 
 Usage: PYTHONPATH=src python scripts/bench.py {kmeans,tsne,ward,text} [--out PATH] [--repeats N]
 
-Exits 1 when any row's two sides differ.
+Exits 1 when any row's two sides differ or a row fails its own check.
 """
 
 import argparse
@@ -52,6 +56,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
+from scipy.cluster.hierarchy import fcluster, linkage
 
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "tests"))  # the replaced code lives with the oracles
@@ -85,11 +90,16 @@ class Counted(NamedTuple):
 
 
 class Case(NamedTuple):
-    """One row: its leading fields, the package call and the reference call (or None)."""
+    """One row: its leading fields, the package call, the reference call (or
+    None) and a check of the package's value giving boolean row fields."""
 
     head: dict
     package: Callable[[], Any]
     reference: Callable[[], Any] | None
+    check: Callable[[Any], dict[str, bool]] | None = None
+
+
+CHECK_FIELDS = ("identical", "scipy_agrees")  # a row with any of these false fails the run
 
 
 @dataclass(frozen=True)
@@ -173,7 +183,26 @@ def ward_cases(n: int) -> Iterable[Case]:
         return [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges], assignments
 
     dense = (lambda: oracles.ward_dense_reference(pts, CENTRES)) if n <= DENSE_MAX_N else None
-    yield Case({"n": n}, package, dense)
+    yield Case({"n": n}, package, dense, lambda value: {"scipy_agrees": scipy_ward_agrees(pts, *value)})
+
+
+def first_seen_labels(labels) -> list[int]:
+    """``labels`` renamed 0, 1, ... in order of first appearance."""
+    order: dict = {}
+    return [order.setdefault(label, len(order)) for label in labels]
+
+
+def scipy_ward_agrees(pts: np.ndarray, merges: list, assignments: list[int]) -> bool:
+    """Whether scipy's Ward linkage of ``pts`` cuts into the same partition
+    at k = CENTRES and its merge costs, ``height**2 / 2``, sorted, equal ours
+    within 1e-12 relative."""
+    tree = linkage(pts, method="ward")
+    theirs = np.sort(tree[:, 2] ** 2 / 2)
+    ours = np.sort([cost for _, _, cost, _ in merges])
+    same_costs = bool(np.allclose(ours, theirs, rtol=1e-12, atol=0.0))
+    cut = fcluster(tree, CENTRES, criterion="maxclust")
+    same_partition = first_seen_labels(cut) == first_seen_labels(assignments)
+    return same_costs and same_partition
 
 
 def text_cases(scale: float) -> Iterable[Case]:
@@ -265,6 +294,8 @@ KERNELS = {
             "kernel": "emocast.clustering.ward_cluster",
             "baseline": "tests/oracles.py ward_dense_reference (the dense kernel it replaced)",
             "input": f"{EMOTION_LIKE}, k={CENTRES}; the dense kernel only up to n = {DENSE_MAX_N}",
+            "scipy_agrees": "scipy.cluster.hierarchy.linkage(method='ward'): the same partition at k, "
+            "and the sorted merge costs equal to the sorted height**2 / 2 within 1e-12 relative",
         },
     ),
     "text": Kernel(
@@ -353,15 +384,18 @@ def run(kernel: Kernel, sizes: tuple | None = None, repeats: int | None = None) 
     ours, theirs = kernel.sides
     rows = []
     for size in sizes:
-        for head, package, reference in kernel.cases(size):
+        for head, package, reference, check in kernel.cases(size):
             fields, value = measure(package, repeats, kernel.traced)
             row = {**head, **{ours + key: v for key, v in fields.items()}}
             if reference is not None:
                 fields, expected = measure(reference, repeats, kernel.traced)
                 row.update({theirs + key: v for key, v in fields.items()})
                 row["identical"] = identical(value, expected)
-                if not row["identical"]:
-                    print(f"{head}: the package differs from the reference", file=sys.stderr)
+            if check is not None:
+                row.update(check(value))
+            for key in CHECK_FIELDS:
+                if row.get(key) is False:
+                    print(f"{head}: {key} is false", file=sys.stderr)
             rows.append(row)
             print(json.dumps(row), flush=True)
     report = {**kernel.about, "cpu_s": f"median of {repeats} runs of time.process_time"}
@@ -382,7 +416,8 @@ def main(argv: list[str] | None = None) -> int:
     report = run(KERNELS[args.kernel], repeats=args.repeats)
     out = args.out or Path(f"bench_{args.kernel}.json")
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return 0 if all(row.get("identical", True) for row in report["rows"]) else 1
+    failed = any(row.get(key) is False for row in report["rows"] for key in CHECK_FIELDS)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

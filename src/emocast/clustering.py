@@ -177,6 +177,25 @@ def _nearest_centres(
     return refreshed, m
 
 
+def _centroids(
+    X: np.ndarray, assign: np.ndarray, counts: np.ndarray, rows: np.ndarray, centers: np.ndarray
+) -> None:
+    """Write each cluster's mean into ``centers``: the sum of its contiguous
+    slice of the rows sorted stably by cluster, divided by its count, the
+    same bits as ``mean(axis=0)`` over the same rows. ``rows`` is n x d
+    scratch."""
+    np.take(X, np.argsort(assign, kind="stable"), axis=0, out=rows)
+    start = 0
+    for j, end in enumerate(np.cumsum(counts)):
+        np.add.reduce(rows[start:end], axis=0, out=centers[j])
+        start = end
+    centers /= counts[:, None]  # what mean(axis=0) does after its sum
+
+
+def _final_sse(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
+    return float(((X - centers[assign]) ** 2).sum())
+
+
 def kmeans(
     points: Sequence[Sequence[float]],
     k: int,
@@ -222,12 +241,7 @@ def kmeans(
         if iterations > 1 and np.array_equal(assign, prev_assign):
             break
         previous[...] = centers
-        np.take(X, np.argsort(assign, kind="stable"), axis=0, out=rows)
-        start = 0
-        for j, end in enumerate(np.cumsum(counts)):
-            np.add.reduce(rows[start:end], axis=0, out=centers[j])
-            start = end
-        centers /= counts[:, None]  # what mean(axis=0) does after its sum
+        _centroids(X, assign, counts, rows, centers)
         np.subtract(centers, previous, out=previous)
         shift = np.sqrt(np.einsum("kd,kd->k", previous, previous)) * (1.0 + _BOUND_MARGIN)
         upper += shift[assign]
@@ -244,13 +258,30 @@ def kmeans(
         if too_few_rows:
             break
 
-    sse = float(((X - centers[assign]) ** 2).sum())
     return KMeansResult(
-        assignments=[int(a) for a in assign],
+        assignments=assign.tolist(),
         centroids=centers,
-        sse=sse,
+        sse=_final_sse(X, centers, assign),
         iterations=iterations,
     )
+
+
+def centroid_sse(points: Sequence[Sequence[float]], assignments: Sequence[int], k: int) -> float:
+    """SSE of ``assignments`` around their k centroids, computed the way
+    ``kmeans`` computes its result's: a result's own assignments give its
+    ``sse`` bit for bit. Raises ValueError unless the assignments label
+    each point with one of 0..k-1 and leave no cluster empty."""
+    X = _as_matrix(points)
+    assign = np.asarray(assignments)
+    if assign.shape != (X.shape[0],) or assign.dtype.kind not in "iu":
+        raise ValueError("assignments must hold one integer label per point")
+    assign = assign.astype(np.intp, copy=False)  # a label past intp wraps negative
+    counts = np.bincount(assign, minlength=k)  # a negative label raises ValueError
+    if counts.size != k or not counts.all():
+        raise ValueError(f"assignments must use every label 0..{k - 1} and no other")
+    centers = np.empty((k, X.shape[1]))
+    _centroids(X, assign, counts, np.empty_like(X), centers)
+    return _final_sse(X, centers, assign)
 
 
 def _derived_seed(seed: int, k: int, restart: int) -> int:
@@ -325,8 +356,7 @@ def ward_cluster(
     Pair costs are maintained with the Lance-Williams recurrence for the
     Ward criterion, so each recorded cost is the exact SSE increase of that
     merge. Cost ties resolve to the lowest (id_a, id_b) pair, id_a < id_b.
-    Cutting the merge history at k clusters yields assignments labeled
-    0..k-1 in order of each cluster's smallest point index.
+    Returns the full merge history and its ``ward_cut`` at k clusters.
 
     Memory is O(n^2): one n x n cost matrix indexed by slot. Slot i starts
     with cluster i; a merge puts the new cluster in the slot of id_a and
@@ -350,7 +380,6 @@ def ward_cluster(
     ids = np.arange(n)  # cluster id held by each slot
     sizes = np.ones(n)
     active = np.ones(n, dtype=bool)
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}  # by slot
     nn_cost = np.full(n, np.inf)
     nn_slot = np.full(n, -1)
 
@@ -361,17 +390,8 @@ def ward_cluster(
         nn_cost[slot] = best
         nn_slot[slot] = ties[np.argmin(ids[ties])]
 
-    def snapshot_assignments() -> list[int]:
-        clusters = sorted((min(points_in), slot) for slot, points_in in members.items())
-        assignment = [0] * n
-        for label, (_, slot) in enumerate(clusters):
-            for point in members[slot]:
-                assignment[point] = label
-        return assignment
-
     for slot in range(n - 1):
         rescan(slot)
-    assignments = snapshot_assignments() if n == k else None
     merges: list[Merge] = []
     for step in range(n - 1):
         best = nn_cost.min()
@@ -400,7 +420,6 @@ def ward_cluster(
         active[a] = True
         ids[a] = new_id
         sizes[a] = new_size
-        members[a].extend(members.pop(b))
         nn_cost[a] = nn_cost[b] = np.inf
         nn_slot[a] = nn_slot[b] = -1
 
@@ -413,12 +432,56 @@ def ward_cluster(
         nn_slot[others[lower]] = a
         for slot in stale:
             rescan(int(slot))
-        if n - step - 1 == k:
-            assignments = snapshot_assignments()
 
-    if assignments is None:
-        raise InvariantError(f"ward_cluster: merge history never reached k={k} clusters")
-    return Dendrogram(n_points=n, merges=merges), assignments
+    dendrogram = Dendrogram(n_points=n, merges=merges)
+    return dendrogram, ward_cut(merge_pairs(n, [(m.id_a, m.id_b) for m in merges]), k)
+
+
+def merge_pairs(n_points: int, pairs: Sequence[Sequence[int]]) -> np.ndarray:
+    """``pairs`` as an (n-1) x 2 id array, once checked to be a merge history.
+
+    Merge ``step`` must join two clusters that exist by then and were not
+    merged before: ``0 <= id_a < id_b < n + step``, and no id appears twice.
+    Anything else raises ValueError.
+    """
+    merged = np.asarray(pairs)
+    if n_points < 2 or merged.shape != (n_points - 1, 2) or merged.dtype.kind not in "iu":
+        raise ValueError(f"a merge history of {n_points} points is {n_points - 1} pairs of ids")
+    ids = merged.astype(np.intp)
+    live = (ids[:, 0] >= 0) & (ids[:, 0] < ids[:, 1]) & (ids[:, 1] < n_points + np.arange(n_points - 1))
+    if not live.all():
+        step = int(np.argmin(live))
+        raise ValueError(f"merge {step} {ids[step].tolist()} does not join two existing clusters")
+    if np.bincount(ids.ravel()).max() > 1:
+        raise ValueError("a cluster id is merged more than once")
+    return ids
+
+
+def ward_cut(pairs: np.ndarray, k: int) -> list[int]:
+    """Cluster labels after the first n-k merges of a ``merge_pairs`` history.
+
+    Replays those merges in a union-find forest (each merge is the parent of
+    its two clusters) and labels the k roots 0..k-1 in order of each one's
+    smallest point index.
+    """
+    n = len(pairs) + 1
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    steps = n - k
+    parent = np.arange(2 * n - 1)
+    parent[pairs[:steps, 0]] = parent[pairs[:steps, 1]] = np.arange(n, n + steps)
+    while True:  # pointer jumping: after t rounds each id points 2**t levels up
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            break
+        parent = grand
+    points = np.arange(n)
+    roots = parent[:n]
+    smallest = np.full(2 * n - 1, n)
+    np.minimum.at(smallest, roots, points)
+    head = smallest[roots]  # each point's cluster, named by its smallest point
+    label = np.cumsum(head == points) - 1  # at a head point: how many heads precede it
+    return label[head].tolist()
 
 
 def composition_audit(

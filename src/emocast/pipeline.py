@@ -10,7 +10,9 @@ its records once, as dicts in column order: its CSVs are written from them,
 report.json embeds them, and ``_write`` replaces every artifact in one step.
 Artifact bytes are deterministic for a fixed config and inputs: rows are
 sorted, floats use their shortest repr, and every CSV uses "\\n" line
-endings. Only report.json carries a timestamp.
+endings. Only report.json carries a timestamp. cluster_cache.json keeps the
+cluster stage's k-means sweep and Ward merges for the next run on the same
+matrix and seed; it changes no other artifact.
 """
 
 from __future__ import annotations
@@ -31,13 +33,17 @@ import numpy as np
 
 from . import __version__
 from .clustering import (
+    DEFAULT_RESTARTS,
     CompositionRow,
     KMeansResult,
     best_kmeans,
+    centroid_sse,
     composition_audit,
     elbow_detect,
+    merge_pairs,
     sse_curve,
     ward_cluster,
+    ward_cut,
 )
 from .corpus import (
     Corpus,
@@ -70,6 +76,10 @@ U_FIELDS = ("u1", "u2", "z", "p_value")
 WORD_FIELDS = ("word", "count")
 # The only CSV column named apart from its record key
 CLUSTERS_CSV_NAMES = {"kmeans": "kmeans_cluster", "ward": "ward_cluster"}
+CLUSTER_CACHE = "cluster_cache.json"
+# Part of the cluster cache key: bump it whenever kmeans or Ward results
+# change bits, so that caches written by the earlier code read as misses.
+_CACHE_FORMAT = 1
 
 
 @dataclass
@@ -344,16 +354,90 @@ def stage_stats(cfg: RunConfig, corpus: Corpus, rows: np.ndarray) -> tuple[list[
     return tests, timebins
 
 
+def _cluster_cache_key(matrix: np.ndarray, seed: int, k_max: int) -> str:
+    """sha256 over everything the cached k-means and Ward results depend on."""
+    import hashlib  # here, so that `emocast --help` does not import it
+
+    config = {
+        "format": _CACHE_FORMAT,
+        "numpy": np.__version__,
+        "seed": seed,
+        "k": [1, k_max],
+        "restarts": DEFAULT_RESTARTS,
+        "shape": list(matrix.shape),
+    }
+    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode())
+    digest.update(np.asarray(matrix, dtype=np.float64).tobytes())  # C order
+    return digest.hexdigest()
+
+
+def _cached_clusters(
+    doc: object, key: str, matrix: np.ndarray, k_max: int
+) -> tuple[dict[int, tuple[float, list[int]]], np.ndarray]:
+    """The best k-means (sse, assignments) per k and the Ward merge pairs of a
+    parsed cluster cache. Raises ValueError unless the key matches, the
+    sweep 1..k_max is complete and every entry checks out: each k-means sse
+    must equal, bit for bit, the one recomputed from its assignments the
+    way ``kmeans`` computes it, and the pairs must form a merge history."""
+    if not isinstance(doc, dict) or doc.get("key") != key:
+        raise ValueError("it was made for other inputs or settings")
+    n = matrix.shape[0]
+    if doc.get("n") != n:
+        raise ValueError(f"it holds n={doc.get('n')!r}, not {n}")
+    entries = doc.get("kmeans")
+    if not isinstance(entries, dict) or any(str(k) not in entries for k in range(1, k_max + 1)):
+        raise ValueError(f"it lacks k-means results for k = 1..{k_max}")
+    sweep = {}
+    for name, entry in entries.items():
+        k = int(name) if name.isdecimal() else 0
+        sse = entry.get("sse") if isinstance(entry, dict) else None
+        if str(k) != name or not 1 <= k <= n or not isinstance(sse, float):
+            raise ValueError(f"k-means entry {name!r} is malformed")
+        labels = entry.get("assignments")
+        if centroid_sse(matrix, labels, k).hex() != sse.hex():
+            raise ValueError(f"k={k}: its sse is not that of its assignments")
+        sweep[k] = (sse, labels)
+    return sweep, merge_pairs(n, doc.get("ward"))
+
+
+def _read_cluster_cache(
+    path: Path, key: str, matrix: np.ndarray, k_max: int
+) -> tuple[dict[int, tuple[float, list[int]]], np.ndarray] | None:
+    """What a valid cache at ``path`` holds, or None: silently when there is
+    no file, with one warning when there is one that cannot be used."""
+    if not path.is_file():
+        return None
+    try:
+        return _cached_clusters(json.loads(path.read_bytes()), key, matrix, k_max)
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and UTF-8
+        print(f"warning: {path.name} not used, recomputing: {exc}", file=sys.stderr)
+        return None
+
+
 def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
-    """K-means and Ward assignments, elbow curve, and the gender audit."""
+    """K-means and Ward assignments, elbow curve, and the gender audit.
+
+    The k-means sweep and the Ward merge history are kept in
+    cluster_cache.json, keyed by the matrix, the seed and the sweep, and
+    reused while they validate; artifacts are the same either way.
+    """
     matrix, kept = characters.with_affect()
     n = len(kept)
     if n < 2:
         raise ValueError(f"cluster: need at least 2 characters with affect, have {n}")
 
     k_max = min(K_MAX_DEFAULT, n)
-    best_per_k: dict[int, KMeansResult] = {}
-    curve = sse_curve(matrix, 1, k_max, cfg.seed, results=best_per_k)
+    cache_path = cfg.output_dir / CLUSTER_CACHE
+    key = _cluster_cache_key(matrix, cfg.seed, k_max)
+    cached = _read_cluster_cache(cache_path, key, matrix, k_max)
+    if cached is None:
+        best_per_k: dict[int, KMeansResult] = {}
+        sse_curve(matrix, 1, k_max, cfg.seed, results=best_per_k)
+        sweep = {k: (best.sse, best.assignments) for k, best in best_per_k.items()}
+        pairs = None
+    else:
+        sweep, pairs = cached
+    curve = [(k, sweep[k][0]) for k in range(1, k_max + 1)]
     auto = cfg.k == "auto"
     if auto:
         try:
@@ -365,20 +449,34 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
         if chosen_k > n:
             raise ValueError(f"cluster: k={chosen_k} exceeds {n} characters")
 
-    if chosen_k in best_per_k:
-        km = best_per_k[chosen_k]
-    else:  # a fixed --k above k_max was not swept
+    changed = cached is None
+    if chosen_k not in sweep:  # a fixed --k above k_max was not swept
         km = best_kmeans(matrix, chosen_k, cfg.seed)
-    _, ward_assign = ward_cluster(matrix, chosen_k)
+        sweep[chosen_k] = (km.sse, km.assignments)
+        changed = True
+    km_sse, km_assign = sweep[chosen_k]
+    if pairs is None:
+        dendrogram, ward_assign = ward_cluster(matrix, chosen_k)
+        pairs = np.array([[merge.id_a, merge.id_b] for merge in dendrogram.merges])
+    else:
+        ward_assign = ward_cut(pairs, chosen_k)
+    if changed:
+        doc = {
+            "key": key,
+            "n": n,
+            "kmeans": {str(k): {"sse": sse, "assignments": labels} for k, (sse, labels) in sweep.items()},
+            "ward": pairs.tolist(),
+        }
+        _write(cache_path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
     genders = [gender for _, _, gender in kept]
     totals = (genders.count("female"), genders.count("male"))
     composition = {
         method: [asdict(row) for row in composition_audit(assign, genders, totals)]
-        for method, assign in (("kmeans", km.assignments), ("ward", ward_assign))
+        for method, assign in (("kmeans", km_assign), ("ward", ward_assign))
     }
     assignments = [
-        {"movie": movie, "name": name, "gender": gender, "kmeans": km.assignments[i], "ward": ward_assign[i]}
+        {"movie": movie, "name": name, "gender": gender, "kmeans": km_assign[i], "ward": ward_assign[i]}
         for i, (movie, name, gender) in enumerate(kept)
     ]
     sse = [{"k": k, "sse": s} for k, s in curve]
@@ -401,7 +499,7 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
         "k": chosen_k,
         "auto": auto,
         "sse_curve": sse,
-        "kmeans_sse": km.sse,
+        "kmeans_sse": km_sse,
         "excluded_no_affect": excluded,
         "assignments": assignments,
         # JSON has no inf or nan, so a non-finite ratio is the string the CSV holds

@@ -158,6 +158,22 @@ def ward_dense_reference(points, k):
     return merges, assignments
 
 
+def ward_snapshot_reference(n, merges, k):
+    """Labels at k clusters the way the Ward kernel first took them: inside
+    the merge loop, from a member list per live cluster, replayed here over
+    the ``(id_a, id_b, ...)`` merges. Clusters are labeled 0..k-1 in order of
+    each one's smallest point index."""
+    members = {i: [i] for i in range(n)}
+    for step, (id_a, id_b, *_) in enumerate(merges[: n - k]):
+        members[n + step] = members.pop(id_a) + members.pop(id_b)
+    clusters = sorted((min(points), cid) for cid, points in members.items())
+    assignment = [0] * n
+    for label, (_, cid) in enumerate(clusters):
+        for point in members[cid]:
+            assignment[point] = label
+    return assignment
+
+
 def kmeans_optimal_sse(X, k):
     """Exhaustive search over all assignments; only viable for tiny n."""
     n = len(X)

@@ -62,3 +62,32 @@ def test_ward_rows_past_the_dense_limit_have_no_reference(tmp_path, monkeypatch)
     first, second = report["rows"]
     assert first["identical"] is True and "dense_cpu_s" in first
     assert "identical" not in second and "dense_cpu_s" not in second
+    # scipy's independent Ward linkage checks every row, past the dense limit too
+    assert first["scipy_agrees"] is True and second["scipy_agrees"] is True
+
+
+def test_scipy_check_catches_a_wrong_history(tmp_path, monkeypatch):
+    package = bench.clustering.ward_cluster
+
+    def off_by_one_cost(points, k):
+        dendrogram, assignments = package(points, k)
+        last = dendrogram.merges[-1]
+        merges = [*dendrogram.merges[:-1], replace(last, cost=last.cost * (1 + 1e-9))]
+        return replace(dendrogram, merges=merges), assignments
+
+    monkeypatch.setattr(bench, "DENSE_MAX_N", 0)
+    monkeypatch.setattr(bench.clustering, "ward_cluster", off_by_one_cost)
+    code, report = run_main(monkeypatch, tmp_path, "ward", sizes=(20,))
+    assert code == 1
+    assert report["rows"][0]["scipy_agrees"] is False
+
+
+def test_scipy_check_compares_partitions():
+    pts = bench.points(30)
+    dendrogram, assignments = bench.clustering.ward_cluster(pts, bench.CENTRES)
+    merges = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
+    assert bench.scipy_ward_agrees(pts, merges, assignments)
+    renamed = [1 - label if label < 2 else label for label in assignments]
+    assert bench.scipy_ward_agrees(pts, merges, renamed)  # the same partition
+    moved = [*assignments[:-1], (assignments[-1] + 1) % bench.CENTRES]
+    assert not bench.scipy_ward_agrees(pts, merges, moved)

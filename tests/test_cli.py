@@ -88,6 +88,7 @@ class TestStagedRuns:
         for stage in ("parse", "score", "stats", "cluster", "project", "words"):
             assert run_cli(stage, *args) == 0, stage
         staged = {name: (out / name).read_bytes() for name in os.listdir(out)}
+        assert "cluster_cache.json" in staged
 
         out2 = out.parent / "out2"
         args2 = [a if a != out else out2 for a in args]

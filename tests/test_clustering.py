@@ -14,9 +14,12 @@ from emocast.clustering import (
     best_kmeans,
     composition_audit,
     elbow_detect,
+    centroid_sse,
     kmeans,
+    merge_pairs,
     sse_curve,
     ward_cluster,
+    ward_cut,
 )
 from emocast.errors import CurveError, DimensionError, InvariantError, NonFiniteError
 
@@ -26,6 +29,7 @@ from oracles import (
     kmeans_reference,
     ward_dense_reference,
     ward_naive,
+    ward_snapshot_reference,
 )
 
 TWO_BLOBS_4PT = [[0.0, 0.0], [0.0, 1.0], [10.0, 0.0], [10.0, 1.0]]
@@ -129,7 +133,18 @@ class TestMatchesReferenceLoop:
         assert np.array_equal(got.centroids, expected.centroids)
         assert got.sse == expected.sse
         assert got.iterations == expected.iterations
+        # what a cluster cache hit recomputes from the assignments alone
+        assert centroid_sse(points, got.assignments, k).hex() == got.sse.hex()
         return repairs
+
+    @pytest.mark.parametrize(
+        "labels", [[0, 1, 1], [0, 0, 2, 1], [0, 2, 2, 1], [0, -1, 1, 1], [0.0, 1.0, 1.0, 0.0], None]
+    )
+    def test_centroid_sse_rejects_labels_kmeans_never_returns(self, labels):
+        pts = [[0.0], [1.0], [2.0], [3.0]]
+        assert centroid_sse(pts, [0, 0, 1, 1], 2) == 1.0
+        with pytest.raises(ValueError):
+            centroid_sse(pts, labels, 2)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_planted_blobs(self, seed):
@@ -415,6 +430,38 @@ class TestWard:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n * 8, f"peak {peak / 1e6:.1f} MB"
+
+    @given(st.integers(0, 10_000), st.integers(2, 30), st.integers(1, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_cut_at_every_k_matches_snapshot(self, seed, n, dim, grid):
+        # grid points tie costs and duplicate rows; normal draws do not
+        rng = np.random.default_rng(seed)
+        pts = rng.integers(0, 3, size=(n, dim)).astype(float) if grid else rng.normal(size=(n, dim))
+        dendrogram, _ = ward_cluster(pts, k=1)
+        merges = [(m.id_a, m.id_b) for m in dendrogram.merges]
+        pairs = merge_pairs(n, merges)
+        for k in range(1, n + 1):
+            expected = ward_snapshot_reference(n, merges, k)
+            assert ward_cut(pairs, k) == expected
+            assert ward_cluster(pts, k)[1] == expected
+            assert ward_dense_reference(pts, k)[1] == expected
+
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0, 1), (2, 3)],  # one pair short
+            [(0, 1), (1, 2), (3, 4)],  # id 1 merged twice
+            [(1, 0), (2, 3), (4, 5)],  # id_a not below id_b
+            [(0, 1), (2, 5), (3, 4)],  # id 5 does not exist before merge 2 makes it
+            [(0, 1), (-1, 2), (3, 4)],
+            [(0.0, 1.0), (2.0, 3.0), (4.0, 5.0)],
+            [[0, 1, 2], [2, 3, 4], [4, 5, 6]],
+        ],
+    )
+    def test_merge_pairs_rejects_what_no_merge_loop_makes(self, pairs):
+        assert merge_pairs(4, [(0, 1), (2, 3), (4, 5)]).tolist() == [[0, 1], [2, 3], [4, 5]]
+        with pytest.raises(ValueError):
+            merge_pairs(4, pairs)
 
     def test_overflowing_costs_rejected(self):
         with pytest.raises(NonFiniteError):
