@@ -275,10 +275,11 @@ def centroid_sse(points: Sequence[Sequence[float]], assignments: Sequence[int], 
     assign = np.asarray(assignments)
     if assign.shape != (X.shape[0],) or assign.dtype.kind not in "iu":
         raise ValueError("assignments must hold one integer label per point")
-    assign = assign.astype(np.intp, copy=False)  # a label past intp wraps negative
-    counts = np.bincount(assign, minlength=k)  # a negative label raises ValueError
-    if counts.size != k or not counts.all():
-        raise ValueError(f"assignments must use every label 0..{k - 1} and no other")
+    if assign.min() < 0 or assign.max() >= k:  # before bincount sizes its output by them
+        raise ValueError(f"assignments must use labels 0..{k - 1} only")
+    counts = np.bincount(assign.astype(np.intp, copy=False), minlength=k)
+    if not counts.all():
+        raise ValueError(f"assignments must use every label 0..{k - 1}")
     centers = np.empty((k, X.shape[1]))
     _centroids(X, assign, counts, np.empty_like(X), centers)
     return _final_sse(X, centers, assign)
@@ -433,8 +434,8 @@ def ward_cluster(
         for slot in stale:
             rescan(int(slot))
 
-    dendrogram = Dendrogram(n_points=n, merges=merges)
-    return dendrogram, ward_cut(merge_pairs(n, [(m.id_a, m.id_b) for m in merges]), k)
+    pairs = np.array([(m.id_a, m.id_b) for m in merges], dtype=np.intp)
+    return Dendrogram(n_points=n, merges=merges), ward_cut(pairs, k)
 
 
 def merge_pairs(n_points: int, pairs: Sequence[Sequence[int]]) -> np.ndarray:
@@ -458,7 +459,8 @@ def merge_pairs(n_points: int, pairs: Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def ward_cut(pairs: np.ndarray, k: int) -> list[int]:
-    """Cluster labels after the first n-k merges of a ``merge_pairs`` history.
+    """Cluster labels after the first n-k merges of a merge history, the
+    (n-1) x 2 id array that ``ward_cluster`` builds and ``merge_pairs`` checks.
 
     Replays those merges in a union-find forest (each merge is the parent of
     its two clusters) and labels the k roots 0..k-1 in order of each one's

@@ -77,9 +77,6 @@ WORD_FIELDS = ("word", "count")
 # The only CSV column named apart from its record key
 CLUSTERS_CSV_NAMES = {"kmeans": "kmeans_cluster", "ward": "ward_cluster"}
 CLUSTER_CACHE = "cluster_cache.json"
-# Part of the cluster cache key: bump it whenever kmeans or Ward results
-# change bits, so that caches written by the earlier code read as misses.
-_CACHE_FORMAT = 1
 
 
 @dataclass
@@ -355,11 +352,18 @@ def stage_stats(cfg: RunConfig, corpus: Corpus, rows: np.ndarray) -> tuple[list[
 
 
 def _cluster_cache_key(matrix: np.ndarray, seed: int, k_max: int) -> str:
-    """sha256 over everything the cached k-means and Ward results depend on."""
+    """sha256 over everything the cached k-means and Ward results depend on.
+
+    That includes the source of the code that computes them (clustering.py)
+    and stores them (this module): any edit to either reads as a miss.
+    """
     import hashlib  # here, so that `emocast --help` does not import it
 
+    from . import clustering
+
+    sources = (clustering.__file__, __file__)
     config = {
-        "format": _CACHE_FORMAT,
+        "code": [hashlib.sha256(Path(source).read_bytes()).hexdigest() for source in sources],
         "numpy": np.__version__,
         "seed": seed,
         "k": [1, k_max],
@@ -457,15 +461,16 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     km_sse, km_assign = sweep[chosen_k]
     if pairs is None:
         dendrogram, ward_assign = ward_cluster(matrix, chosen_k)
-        pairs = np.array([[merge.id_a, merge.id_b] for merge in dendrogram.merges])
+        history = [[merge.id_a, merge.id_b] for merge in dendrogram.merges]
     else:
         ward_assign = ward_cut(pairs, chosen_k)
+        history = pairs.tolist()
     if changed:
         doc = {
             "key": key,
             "n": n,
             "kmeans": {str(k): {"sse": sse, "assignments": labels} for k, (sse, labels) in sweep.items()},
-            "ward": pairs.tolist(),
+            "ward": history,
         }
         _write(cache_path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import shutil
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +144,7 @@ CORRUPTIONS = {
     "wrong n": _edited(lambda doc: doc.update(n=doc["n"] + 1)),
     "missing k": _edited(lambda doc: doc["kmeans"].pop("4")),
     "label out of range": _edited(lambda doc: doc["kmeans"]["3"]["assignments"].__setitem__(5, 3)),
+    "label far out of range": _edited(lambda doc: doc["kmeans"]["3"]["assignments"].__setitem__(5, 10**12)),
     "short assignments": _edited(lambda doc: doc["kmeans"]["3"]["assignments"].pop()),
     "tampered sse": _edited(lambda doc: _set_sse(doc, lambda sse: math.nextafter(sse, math.inf))),
     "sse not a float": _edited(lambda doc: _set_sse(doc, repr)),
@@ -206,6 +208,21 @@ def test_changed_emotion_value_is_a_miss(workdir, calls, capsys):
     assert calls["ward_cluster"] == 2
     assert json.loads((out / CLUSTER_CACHE).read_text())["key"] != key
     assert "other inputs" in capsys.readouterr().err  # the key, not the sse check, missed
+
+
+@pytest.mark.parametrize("module", [emocast.clustering, emocast.pipeline], ids=lambda module: module.__name__)
+def test_edited_source_is_a_miss(workdir, calls, capsys, monkeypatch, tmp_path, module):
+    out, run = workdir
+    assert run("cluster") == 0
+    expected = artifacts(out)
+    edited = tmp_path / "edited.py"
+    edited.write_bytes(Path(module.__file__).read_bytes() + b"# edited\n")
+    monkeypatch.setattr(module, "__file__", str(edited))
+    capsys.readouterr()
+    assert run("cluster") == 0
+    assert calls == {"kmeans": 200, "ward_cluster": 2}
+    assert artifacts(out) == expected
+    assert "other inputs" in capsys.readouterr().err
 
 
 def test_touched_emotions_csv_is_a_hit(workdir, calls):

@@ -138,7 +138,8 @@ class TestMatchesReferenceLoop:
         return repairs
 
     @pytest.mark.parametrize(
-        "labels", [[0, 1, 1], [0, 0, 2, 1], [0, 2, 2, 1], [0, -1, 1, 1], [0.0, 1.0, 1.0, 0.0], None]
+        "labels",
+        [[0, 1, 1], [0, 0, 2, 1], [0, 2, 2, 1], [0, -1, 1, 1], [0, 10**12, 1, 1], [0, 2**63, 1, 1], [0.0, 1.0, 1.0, 0.0], None],
     )
     def test_centroid_sse_rejects_labels_kmeans_never_returns(self, labels):
         pts = [[0.0], [1.0], [2.0], [3.0]]
