@@ -15,7 +15,7 @@ further run, or per-row work counters.
   also counts the rows whose own-centre distance it refreshed).
 * ``tsne``: ``tsne.tsne`` with the default ``TsneConfig`` against
   ``tsne_reference``, with peak memory.
-* ``ward``: ``clustering.ward_cluster`` cut at k = 6 against
+* ``ward``: ``clustering.ward_cluster``, cut at k = 6 by ``ward_cut``, against
   ``ward_dense_reference``, with peak memory. The dense kernel holds a
   (2n-1)^2 cost matrix plus an n x n x 32 difference tensor, so it runs
   only up to n = 1500. At every n the history is also checked against
@@ -145,10 +145,9 @@ def kmeans_sweep(pts: np.ndarray, reference: bool) -> Counted:
         work["rows_refreshed"] = 0
     clustering.kmeans = reference_kmeans if reference else counted_kmeans
     clustering._nearest_centres = counted_nearest
-    best: dict = {}
     try:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        clustering.sse_curve(pts, 1, K_MAX, KMEANS_SEED, results=best)
+        best = clustering.sse_curve(pts, K_MAX, KMEANS_SEED)
         work["minflt"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     finally:
         clustering.kmeans, clustering._nearest_centres = package_kmeans, package_nearest
@@ -179,8 +178,8 @@ def ward_cases(n: int) -> Iterable[Case]:
     pts = points(n)
 
     def package():
-        dendrogram, assignments = clustering.ward_cluster(pts, CENTRES)
-        return [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges], assignments
+        pairs, costs = clustering.ward_cluster(pts)
+        return oracles.merge_tuples(pairs, costs), clustering.ward_cut(pairs, CENTRES)
 
     dense = (lambda: oracles.ward_dense_reference(pts, CENTRES)) if n <= DENSE_MAX_N else None
     yield Case({"n": n}, package, dense, lambda value: {"scipy_agrees": scipy_ward_agrees(pts, *value)})

@@ -37,7 +37,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Gender
 from .errors import CurveError, DimensionError, InvariantError, NonFiniteError
 
 KMEANS_MAX_ITER = 300
@@ -52,22 +51,6 @@ class KMeansResult:
     centroids: np.ndarray
     sse: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class Merge:
-    id_a: int
-    id_b: int
-    cost: float
-    new_size: int
-
-
-@dataclass(frozen=True)
-class Dendrogram:
-    """Agglomerative merge history; new clusters get ids n, n+1, ..."""
-
-    n_points: int
-    merges: list[Merge]
 
 
 @dataclass(frozen=True)
@@ -289,45 +272,22 @@ def _derived_seed(seed: int, k: int, restart: int) -> int:
     return int(np.random.SeedSequence(entropy=seed, spawn_key=(k, restart)).generate_state(1)[0])
 
 
-def best_kmeans(
-    points: Sequence[Sequence[float]],
-    k: int,
-    seed: int,
-    restarts: int = DEFAULT_RESTARTS,
-) -> KMeansResult:
-    """Best of ``restarts`` runs by SSE; ties keep the earliest restart."""
-    if restarts < 1:
-        raise InvariantError(f"best_kmeans needs at least 1 restart, got {restarts}")
+def best_kmeans(points: Sequence[Sequence[float]], k: int, seed: int) -> KMeansResult:
+    """Best of ``DEFAULT_RESTARTS`` runs by SSE; ties keep the earliest restart."""
     best = kmeans(points, k, _derived_seed(seed, k, 0))
-    for restart in range(1, restarts):
+    for restart in range(1, DEFAULT_RESTARTS):
         result = kmeans(points, k, _derived_seed(seed, k, restart))
         if result.sse < best.sse:
             best = result
     return best
 
 
-def sse_curve(
-    points: Sequence[Sequence[float]],
-    k_min: int,
-    k_max: int,
-    seed: int,
-    restarts: int = DEFAULT_RESTARTS,
-    *,
-    results: dict[int, KMeansResult] | None = None,
-) -> list[tuple[int, float]]:
-    """Per-k minimum SSE over restarts, for elbow inspection.
-
-    When ``results`` is given, it receives each k's best ``KMeansResult``,
-    the same one ``best_kmeans(points, k, seed, restarts)`` returns.
-    """
+def sse_curve(points: Sequence[Sequence[float]], k_max: int, seed: int) -> dict[int, KMeansResult]:
+    """``best_kmeans`` at each k = 1..k_max, the sweep the elbow is read from."""
     X = _as_matrix(points)
-    n = X.shape[0]
-    if not 1 <= k_min <= k_max <= n:
-        raise ValueError(f"need 1 <= k_min <= k_max <= {n}")
-    found = {k: best_kmeans(X, k, seed, restarts) for k in range(k_min, k_max + 1)}
-    if results is not None:
-        results.update(found)
-    return [(k, best.sse) for k, best in found.items()]
+    if not 1 <= k_max <= X.shape[0]:
+        raise ValueError(f"need 1 <= k_max <= {X.shape[0]}")
+    return {k: best_kmeans(X, k, seed) for k in range(1, k_max + 1)}
 
 
 def elbow_detect(curve: Sequence[tuple[int, float]]) -> int:
@@ -347,17 +307,16 @@ def elbow_detect(curve: Sequence[tuple[int, float]]) -> int:
     return best_k
 
 
-def ward_cluster(
-    points: Sequence[Sequence[float]],
-    k: int,
-) -> tuple[Dendrogram, list[int]]:
+def ward_cluster(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndarray]:
     """Agglomerative merging that minimizes the within-cluster SSE increase.
 
     Singleton clusters start with ids 0..n-1; each merge creates id n+step.
     Pair costs are maintained with the Lance-Williams recurrence for the
     Ward criterion, so each recorded cost is the exact SSE increase of that
     merge. Cost ties resolve to the lowest (id_a, id_b) pair, id_a < id_b.
-    Returns the full merge history and its ``ward_cut`` at k clusters.
+    Returns the merge history as ``(pairs, costs)``: an (n-1) x 2 array of
+    the (id_a, id_b) merged at each step and the (n-1) costs, the pairs and
+    heights of a scipy linkage matrix. ``ward_cut`` labels it at any k.
 
     Memory is O(n^2): one n x n cost matrix indexed by slot. Slot i starts
     with cluster i; a merge puts the new cluster in the slot of id_a and
@@ -369,8 +328,6 @@ def ward_cluster(
     n = X.shape[0]
     if n < 2:
         raise ValueError("ward_cluster needs at least 2 points")
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
 
     cost = np.empty((n, n))
     for lo in range(0, n, _WARD_ROW_BLOCK):
@@ -393,7 +350,8 @@ def ward_cluster(
 
     for slot in range(n - 1):
         rescan(slot)
-    merges: list[Merge] = []
+    pairs = np.empty((n - 1, 2), dtype=np.intp)
+    costs = np.empty(n - 1)
     for step in range(n - 1):
         best = nn_cost.min()
         if not math.isfinite(best):
@@ -401,12 +359,9 @@ def ward_cluster(
         ties = np.flatnonzero(nn_cost == best)
         a = int(ties[np.argmin(ids[ties])])
         b = int(nn_slot[a])
-        merge_cost = float(cost[a, b])
-        new_id = n + step
+        merge_cost = costs[step] = cost[a, b]
+        pairs[step] = ids[a], ids[b]
         new_size = sizes[a] + sizes[b]
-        merges.append(
-            Merge(id_a=int(ids[a]), id_b=int(ids[b]), cost=merge_cost, new_size=int(new_size))
-        )
 
         active[a] = active[b] = False
         others = np.flatnonzero(active)
@@ -419,7 +374,7 @@ def ward_cluster(
         cost[a, others] = updated
         cost[others, a] = updated
         active[a] = True
-        ids[a] = new_id
+        ids[a] = n + step
         sizes[a] = new_size
         nn_cost[a] = nn_cost[b] = np.inf
         nn_slot[a] = nn_slot[b] = -1
@@ -434,8 +389,7 @@ def ward_cluster(
         for slot in stale:
             rescan(int(slot))
 
-    pairs = np.array([(m.id_a, m.id_b) for m in merges], dtype=np.intp)
-    return Dendrogram(n_points=n, merges=merges), ward_cut(pairs, k)
+    return pairs, costs
 
 
 def merge_pairs(n_points: int, pairs: Sequence[Sequence[int]]) -> np.ndarray:
@@ -486,26 +440,22 @@ def ward_cut(pairs: np.ndarray, k: int) -> list[int]:
     return label[head].tolist()
 
 
-def composition_audit(
-    assignments: Sequence[int],
-    genders: Sequence[Gender | str],
-    global_counts: tuple[int, int],
-) -> list[CompositionRow]:
-    """Per-cluster gender balance against the corpus-wide female share.
+def composition_audit(assignments: Sequence[int], genders: Sequence[str]) -> list[CompositionRow]:
+    """Per-cluster gender balance against the female share of all ``genders``.
 
-    ``global_counts`` is (female_total, male_total). The expected female
-    count of a cluster scales its female+male size by the global female
-    fraction; deviation is the absolute gap to the observed count.
+    ``genders`` holds the labels emotions.csv holds: "female", "male" or
+    "unknown". The expected female count of a cluster scales its
+    female+male size by the female fraction of all female and male labels;
+    deviation is the absolute gap to the observed count.
     """
     if len(assignments) != len(genders):
         raise ValueError("assignments and genders must align")
-    norm = [g.value if isinstance(g, Gender) else str(g).lower() for g in genders]
-    global_female, global_male = global_counts
-    total = global_female + global_male
-    fraction = global_female / total if total else 0.0
+    female_total = genders.count("female")
+    total = female_total + genders.count("male")
+    fraction = female_total / total if total else 0.0
 
     counts: dict[int, list[int]] = {}
-    for cluster, gender in zip(assignments, norm):
+    for cluster, gender in zip(assignments, genders):
         pair = counts.setdefault(int(cluster), [0, 0])
         if gender == "female":
             pair[0] += 1

@@ -21,6 +21,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .emotion import PRIMARY_EMOTIONS, EmotionLexicon, tokenize
+from .errors import read_utf8
 
 MIN_TOKEN_LEN = 2
 GROUPS = ("female", "male")
@@ -57,7 +58,8 @@ def default_nouns() -> set[str]:
 
 
 def load_word_list_file(path: str | Path) -> set[str]:
-    return load_word_list(Path(path).read_text(encoding="utf-8"))
+    """A word list file; one that is not UTF-8 raises InputEncodingError naming its line."""
+    return load_word_list(read_utf8(path))
 
 
 def text_pass(corpus: Corpus, lexicon: EmotionLexicon, stopwords: set[str]) -> TextPass:

@@ -35,7 +35,6 @@ from . import __version__
 from .clustering import (
     DEFAULT_RESTARTS,
     CompositionRow,
-    KMeansResult,
     best_kmeans,
     centroid_sse,
     composition_audit,
@@ -316,6 +315,8 @@ def _load_characters(cfg: RunConfig, stage: str) -> CharacterTable:
             try:
                 # float(repr(x)) == x, so these are the bits stage_score computed
                 vectors.append([float(cell) for cell in rec[3:-2]])
+                if not all(map(math.isfinite, vectors[-1])):
+                    raise ValueError("emotion values must be finite, not nan or inf")
             except ValueError as exc:
                 raise ValueError(f"{stage}: {artifact} line {reader.line_num}: {exc}") from None
             no_affect.append(rec[-2] == "true")
@@ -376,13 +377,15 @@ def _cluster_cache_key(matrix: np.ndarray, seed: int, k_max: int) -> str:
 
 
 def _cached_clusters(
-    doc: object, key: str, matrix: np.ndarray, k_max: int
+    path: Path, key: str, matrix: np.ndarray, k_max: int
 ) -> tuple[dict[int, tuple[float, list[int]]], np.ndarray]:
-    """The best k-means (sse, assignments) per k and the Ward merge pairs of a
-    parsed cluster cache. Raises ValueError unless the key matches, the
-    sweep 1..k_max is complete and every entry checks out: each k-means sse
-    must equal, bit for bit, the one recomputed from its assignments the
-    way ``kmeans`` computes it, and the pairs must form a merge history."""
+    """The best k-means (sse, assignments) per k and the Ward merge pairs
+    that the cluster cache at ``path`` holds. Raises OSError when it cannot
+    be read, and ValueError unless it is JSON, the key matches, the sweep
+    1..k_max is complete and every entry checks out: each k-means sse must
+    equal, bit for bit, the one recomputed from its assignments the way
+    ``kmeans`` computes it, and the pairs must form a merge history."""
+    doc = json.loads(path.read_bytes())  # ValueError covers bad JSON and UTF-8
     if not isinstance(doc, dict) or doc.get("key") != key:
         raise ValueError("it was made for other inputs or settings")
     n = matrix.shape[0]
@@ -404,26 +407,14 @@ def _cached_clusters(
     return sweep, merge_pairs(n, doc.get("ward"))
 
 
-def _read_cluster_cache(
-    path: Path, key: str, matrix: np.ndarray, k_max: int
-) -> tuple[dict[int, tuple[float, list[int]]], np.ndarray] | None:
-    """What a valid cache at ``path`` holds, or None: silently when there is
-    no file, with one warning when there is one that cannot be used."""
-    if not path.is_file():
-        return None
-    try:
-        return _cached_clusters(json.loads(path.read_bytes()), key, matrix, k_max)
-    except (OSError, ValueError, RecursionError) as exc:  # ValueError covers bad JSON and UTF-8
-        print(f"warning: {path.name} not used, recomputing: {exc}", file=sys.stderr)
-        return None
-
-
 def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     """K-means and Ward assignments, elbow curve, and the gender audit.
 
     The k-means sweep and the Ward merge history are kept in
     cluster_cache.json, keyed by the matrix, the seed and the sweep, and
-    reused while they validate; artifacts are the same either way.
+    reused while they validate. A missing cache is recomputed silently, an
+    unusable one with one warning; from there both routes share one cut and
+    one audit, so artifacts are the same either way.
     """
     matrix, kept = characters.with_affect()
     n = len(kept)
@@ -433,14 +424,15 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     k_max = min(K_MAX_DEFAULT, n)
     cache_path = cfg.output_dir / CLUSTER_CACHE
     key = _cluster_cache_key(matrix, cfg.seed, k_max)
-    cached = _read_cluster_cache(cache_path, key, matrix, k_max)
-    if cached is None:
-        best_per_k: dict[int, KMeansResult] = {}
-        sse_curve(matrix, 1, k_max, cfg.seed, results=best_per_k)
-        sweep = {k: (best.sse, best.assignments) for k, best in best_per_k.items()}
-        pairs = None
-    else:
-        sweep, pairs = cached
+    try:
+        sweep, pairs = _cached_clusters(cache_path, key, matrix, k_max)
+        changed = False
+    except (OSError, ValueError, RecursionError) as exc:
+        if not isinstance(exc, FileNotFoundError):
+            print(f"warning: {CLUSTER_CACHE} not used, recomputing: {exc}", file=sys.stderr)
+        sweep = {k: (best.sse, best.assignments) for k, best in sse_curve(matrix, k_max, cfg.seed).items()}
+        pairs = ward_cluster(matrix)[0]
+        changed = True
     curve = [(k, sweep[k][0]) for k in range(1, k_max + 1)]
     auto = cfg.k == "auto"
     if auto:
@@ -453,31 +445,24 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
         if chosen_k > n:
             raise ValueError(f"cluster: k={chosen_k} exceeds {n} characters")
 
-    changed = cached is None
     if chosen_k not in sweep:  # a fixed --k above k_max was not swept
         km = best_kmeans(matrix, chosen_k, cfg.seed)
         sweep[chosen_k] = (km.sse, km.assignments)
         changed = True
     km_sse, km_assign = sweep[chosen_k]
-    if pairs is None:
-        dendrogram, ward_assign = ward_cluster(matrix, chosen_k)
-        history = [[merge.id_a, merge.id_b] for merge in dendrogram.merges]
-    else:
-        ward_assign = ward_cut(pairs, chosen_k)
-        history = pairs.tolist()
+    ward_assign = ward_cut(pairs, chosen_k)
     if changed:
         doc = {
             "key": key,
             "n": n,
             "kmeans": {str(k): {"sse": sse, "assignments": labels} for k, (sse, labels) in sweep.items()},
-            "ward": history,
+            "ward": pairs.tolist(),
         }
         _write(cache_path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
     genders = [gender for _, _, gender in kept]
-    totals = (genders.count("female"), genders.count("male"))
     composition = {
-        method: [asdict(row) for row in composition_audit(assign, genders, totals)]
+        method: [asdict(row) for row in composition_audit(assign, genders)]
         for method, assign in (("kmeans", km_assign), ("ward", ward_assign))
     }
     assignments = [

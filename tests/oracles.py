@@ -174,6 +174,19 @@ def ward_snapshot_reference(n, merges, k):
     return assignment
 
 
+def merge_tuples(pairs, costs):
+    """A ``ward_cluster`` history, ``(pairs, costs)``, as the
+    ``(id_a, id_b, cost, new_size)`` tuples the references return, each
+    size counted from the pairs: cluster n + step holds the points of the
+    two clusters merge ``step`` joins."""
+    sizes = [1] * (len(pairs) + 1)
+    merges = []
+    for (id_a, id_b), cost in zip(pairs.tolist(), costs.tolist()):
+        sizes.append(sizes[id_a] + sizes[id_b])
+        merges.append((id_a, id_b, cost, sizes[-1]))
+    return merges
+
+
 def kmeans_optimal_sse(X, k):
     """Exhaustive search over all assignments; only viable for tiny n."""
     n = len(X)

@@ -69,11 +69,10 @@ def test_ward_rows_past_the_dense_limit_have_no_reference(tmp_path, monkeypatch)
 def test_scipy_check_catches_a_wrong_history(tmp_path, monkeypatch):
     package = bench.clustering.ward_cluster
 
-    def off_by_one_cost(points, k):
-        dendrogram, assignments = package(points, k)
-        last = dendrogram.merges[-1]
-        merges = [*dendrogram.merges[:-1], replace(last, cost=last.cost * (1 + 1e-9))]
-        return replace(dendrogram, merges=merges), assignments
+    def off_by_one_cost(points):
+        pairs, costs = package(points)
+        costs[-1] *= 1 + 1e-9
+        return pairs, costs
 
     monkeypatch.setattr(bench, "DENSE_MAX_N", 0)
     monkeypatch.setattr(bench.clustering, "ward_cluster", off_by_one_cost)
@@ -84,8 +83,9 @@ def test_scipy_check_catches_a_wrong_history(tmp_path, monkeypatch):
 
 def test_scipy_check_compares_partitions():
     pts = bench.points(30)
-    dendrogram, assignments = bench.clustering.ward_cluster(pts, bench.CENTRES)
-    merges = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
+    pairs, costs = bench.clustering.ward_cluster(pts)
+    merges = bench.oracles.merge_tuples(pairs, costs)
+    assignments = bench.clustering.ward_cut(pairs, bench.CENTRES)
     assert bench.scipy_ward_agrees(pts, merges, assignments)
     renamed = [1 - label if label < 2 else label for label in assignments]
     assert bench.scipy_ward_agrees(pts, merges, renamed)  # the same partition

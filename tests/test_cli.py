@@ -243,7 +243,7 @@ class TestErrors:
         assert run_cli("parse", *args, "--config", config) == 2
         assert f"{config}: line 3: not valid UTF-8" in capsys.readouterr().err
 
-    def _cluster_with_emotions_line(self, fixture_args, capsys, lineno, mangle):
+    def _cluster_with_emotions_line(self, fixture_args, capsys, lineno, mangle, command="cluster"):
         args, out = fixture_args
         for stage in ("parse", "score"):
             assert run_cli(stage, *args) == 0, stage
@@ -252,7 +252,7 @@ class TestErrors:
         lines[lineno - 1] = ",".join(mangle(lines[lineno - 1].split(",")))
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
-        assert run_cli("cluster", *args) == 1
+        assert run_cli(command, *args) == 1
         return capsys.readouterr().err
 
     def test_bad_emotions_cell_names_file_and_line(self, fixture_args, capsys):
@@ -261,6 +261,16 @@ class TestErrors:
         )
         assert "emotions.csv line 4" in err
         assert "could not convert string to float: 'x'" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf"])
+    @pytest.mark.parametrize("command", ["cluster", "project"])
+    def test_non_finite_emotions_cell_names_file_and_line(self, fixture_args, capsys, command, cell):
+        err = self._cluster_with_emotions_line(
+            fixture_args, capsys, 4, lambda cells: [*cells[:5], cell, *cells[6:]], command
+        )
+        assert f"error in stage {command}: " in err
+        assert "emotions.csv line 4: emotion values must be finite" in err
+        assert err.count("\n") == 1  # one error line, no traceback
 
     def test_short_emotions_row_names_file_and_line(self, fixture_args, capsys):
         err = self._cluster_with_emotions_line(fixture_args, capsys, 3, lambda cells: cells[:20])

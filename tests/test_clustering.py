@@ -21,12 +21,13 @@ from emocast.clustering import (
     ward_cluster,
     ward_cut,
 )
-from emocast.errors import CurveError, DimensionError, InvariantError, NonFiniteError
+from emocast.errors import CurveError, DimensionError, NonFiniteError
 
 from oracles import (
     cluster_sse,
     kmeans_optimal_sse,
     kmeans_reference,
+    merge_tuples,
     ward_dense_reference,
     ward_naive,
     ward_snapshot_reference,
@@ -264,43 +265,48 @@ class TestBounds:
         assert peak < 5 * n * dim * 8, f"peak {peak / 1e6:.1f} MB"
 
 
+def curve_of(points, k_max, seed):
+    """The (k, sse) elbow curve of ``sse_curve``'s sweep."""
+    return [(k, best.sse) for k, best in sse_curve(points, k_max, seed).items()]
+
+
 class TestSseCurve:
     def test_k_equals_n_reaches_zero(self):
         pts = np.random.default_rng(5).normal(size=(8, 2))
-        curve = sse_curve(pts, 1, 8, seed=11)
+        curve = curve_of(pts, 8, seed=11)
         assert curve[-1] == (8, pytest.approx(0.0, abs=1e-18))
 
     def test_single_k_is_total_scatter(self):
         pts = np.random.default_rng(6).normal(size=(10, 2))
-        [(k, sse)] = sse_curve(pts, 1, 1, seed=1)
+        [(k, sse)] = curve_of(pts, 1, seed=1)
         assert k == 1
         assert sse == pytest.approx(cluster_sse(pts, range(10)))
 
     def test_three_blob_drop_then_flat(self):
         pts = three_blobs(np.random.default_rng(4))
-        curve = dict(sse_curve(pts, 1, 6, seed=4))
+        curve = dict(curve_of(pts, 6, seed=4))
         assert curve[2] < 0.5 * curve[1]
         assert curve[3] < 0.01 * curve[2]
         assert curve[4] > 0.5 * curve[3]  # little left to gain past 3
 
     def test_restart_minimum_is_deterministic(self):
         pts = three_blobs(np.random.default_rng(8), per_blob=10)
-        assert sse_curve(pts, 1, 5, seed=2) == sse_curve(pts, 1, 5, seed=2)
+        assert curve_of(pts, 5, seed=2) == curve_of(pts, 5, seed=2)
 
     def test_results_are_best_kmeans_per_k(self):
         pts = three_blobs(np.random.default_rng(9), per_blob=10)
-        results = {}
-        curve = sse_curve(pts, 2, 5, seed=3, results=results)
-        assert sorted(results) == [2, 3, 4, 5]
-        for k, sse in curve:
+        results = sse_curve(pts, 5, seed=3)
+        assert list(results) == [1, 2, 3, 4, 5]
+        for k, result in results.items():
             expected = best_kmeans(pts, k, seed=3)
-            assert results[k].sse == sse == expected.sse
-            assert results[k].assignments == expected.assignments
-            assert np.array_equal(results[k].centroids, expected.centroids)
+            assert result.sse == expected.sse
+            assert result.assignments == expected.assignments
+            assert np.array_equal(result.centroids, expected.centroids)
 
-    def test_zero_restarts_rejected(self):
-        with pytest.raises(InvariantError):
-            best_kmeans([[0.0], [1.0]], k=1, seed=0, restarts=0)
+    @pytest.mark.parametrize("k_max", [0, 31])
+    def test_k_max_outside_1_to_n_rejected(self, k_max):
+        with pytest.raises(ValueError):
+            sse_curve(three_blobs(np.random.default_rng(1), per_blob=10), k_max, seed=0)
 
 
 class TestElbow:
@@ -324,41 +330,39 @@ class TestElbow:
         hits = 0
         for seed in range(10):
             pts = three_blobs(np.random.default_rng(1000 + seed))
-            curve = sse_curve(pts, 1, 8, seed=seed)
+            curve = curve_of(pts, 8, seed=seed)
             hits += elbow_detect(curve) == 3
         assert hits >= 9
 
 
 class TestWard:
     def test_one_dim_reference(self):
-        dendrogram, assignments = ward_cluster([[0.0], [1.0], [10.0]], k=2)
-        first = dendrogram.merges[0]
-        assert (first.id_a, first.id_b) == (0, 1)
-        assert first.cost == pytest.approx(0.5, abs=1e-12)
-        assert assignments == [0, 0, 1]
+        pairs, costs = ward_cluster([[0.0], [1.0], [10.0]])
+        assert pairs[0].tolist() == [0, 1]
+        assert costs[0] == pytest.approx(0.5, abs=1e-12)
+        assert ward_cut(pairs, 2) == [0, 0, 1]
 
     def test_two_points_cost_is_half_sq_distance(self):
-        dendrogram, _ = ward_cluster([[0.0, 0.0], [3.0, 4.0]], k=1)
-        assert dendrogram.merges[0].cost == pytest.approx(12.5, abs=1e-12)
+        _, costs = ward_cluster([[0.0, 0.0], [3.0, 4.0]])
+        assert costs[0] == pytest.approx(12.5, abs=1e-12)
 
     def test_duplicate_points_merge_free(self):
-        dendrogram, _ = ward_cluster([[1.0], [1.0], [5.0]], k=1)
-        assert dendrogram.merges[0].cost == 0.0
+        _, costs = ward_cluster([[1.0], [1.0], [5.0]])
+        assert costs[0] == 0.0
 
     def test_merge_count_and_sizes(self):
         pts = np.random.default_rng(2).normal(size=(9, 4))
-        dendrogram, assignments = ward_cluster(pts, k=3)
-        assert len(dendrogram.merges) == 8
-        assert dendrogram.merges[-1].new_size == 9
-        assert sorted(set(assignments)) == [0, 1, 2]
+        pairs, costs = ward_cluster(pts)
+        assert (pairs.shape, pairs.dtype, costs.shape, costs.dtype) == ((8, 2), np.intp, (8,), np.float64)
+        assert merge_tuples(pairs, costs)[-1][3] == 9
+        assert sorted(set(ward_cut(pairs, 3))) == [0, 1, 2]
 
     @given(st.integers(0, 10_000), st.integers(2, 12), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
     def test_matches_naive_recomputation(self, seed, n, dim):
         pts = np.random.default_rng(seed).normal(size=(n, dim))
-        dendrogram, _ = ward_cluster(pts, k=1)
         expected = ward_naive(pts)
-        got = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
+        got = merge_tuples(*ward_cluster(pts))
         assert [(a, b, s) for a, b, _, s in got] == [(a, b, s) for a, b, _, s in expected]
         for (_, _, cost, _), (_, _, ref_cost, _) in zip(got, expected):
             assert cost == pytest.approx(ref_cost, abs=1e-9)
@@ -367,13 +371,12 @@ class TestWard:
     @settings(max_examples=25, deadline=None)
     def test_costs_non_decreasing(self, seed):
         pts = np.random.default_rng(seed).normal(size=(12, 3))
-        dendrogram, _ = ward_cluster(pts, k=1)
-        costs = [m.cost for m in dendrogram.merges]
+        costs = ward_cluster(pts)[1].tolist()
         assert all(b >= a - 1e-12 for a, b in zip(costs, costs[1:]))
 
     def test_assignment_labels_by_smallest_member(self):
         # two tight pairs far apart: point 0's cluster must be labeled 0
-        _, assignments = ward_cluster([[0.0], [100.0], [0.1], [100.1]], k=2)
+        assignments = ward_cut(ward_cluster([[0.0], [100.0], [0.1], [100.1]])[0], 2)
         assert assignments[0] == 0
         assert assignments == [0, 1, 0, 1]
 
@@ -381,12 +384,12 @@ class TestWard:
     @pytest.mark.parametrize("make", [planted_clusters, tie_heavy])
     def test_matches_dense_reference_bit_for_bit(self, make, n):
         pts = make(np.random.default_rng(n), n)
+        pairs, costs = ward_cluster(pts)
         for k in (1, 6):
-            dendrogram, assignments = ward_cluster(pts, k=k)
             expected_merges, expected_assignments = ward_dense_reference(pts, k)
-            got = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
-            assert got == expected_merges
-            assert assignments == expected_assignments
+            assert pairs.tolist() == [[a, b] for a, b, _, _ in expected_merges]
+            assert costs.tolist() == [cost for _, _, cost, _ in expected_merges]
+            assert ward_cut(pairs, k) == expected_assignments
 
     def test_small_grids_match_dense_reference(self):
         # coarse 3-D grids tie non-zero costs between original and merged
@@ -395,8 +398,7 @@ class TestWard:
         for _ in range(1000):
             n = int(rng.integers(3, 40))
             pts = rng.integers(0, 4, size=(n, int(rng.integers(1, 4)))).astype(float)
-            dendrogram, _ = ward_cluster(pts, k=1)
-            got = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
+            got = merge_tuples(*ward_cluster(pts))
             assert got == ward_dense_reference(pts, 1)[0]
 
     def test_grid_duplicates_match_naive_tie_rule(self):
@@ -412,13 +414,12 @@ class TestWard:
             dim = int(rng.integers(1, 4))
             distinct = rng.integers(0, 1000, size=(int(rng.integers(1, n + 1)), dim))
             pts = distinct[rng.integers(len(distinct), size=n)].astype(float)
-            dendrogram, _ = ward_cluster(pts, k=1)
             expected = ward_naive(pts)
-            got = [(m.id_a, m.id_b, m.cost, m.new_size) for m in dendrogram.merges]
+            got = merge_tuples(*ward_cluster(pts))
             assert [(a, b, s) for a, b, _, s in got] == [(a, b, s) for a, b, _, s in expected]
             for (_, _, cost, _), (_, _, ref_cost, _) in zip(got, expected):
                 assert cost == pytest.approx(ref_cost, rel=1e-9, abs=1e-9)
-            zero_cost_merges += sum(1 for m in dendrogram.merges if m.cost == 0.0)
+            zero_cost_merges += sum(1 for _, _, cost, _ in got if cost == 0.0)
         assert zero_cost_merges >= 300
 
     def test_peak_memory_quadratic(self):
@@ -426,7 +427,7 @@ class TestWard:
         pts = planted_clusters(np.random.default_rng(600), n, dim)
         tracemalloc.start()
         try:
-            ward_cluster(pts, k=6)
+            ward_cluster(pts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -438,13 +439,12 @@ class TestWard:
         # grid points tie costs and duplicate rows; normal draws do not
         rng = np.random.default_rng(seed)
         pts = rng.integers(0, 3, size=(n, dim)).astype(float) if grid else rng.normal(size=(n, dim))
-        dendrogram, _ = ward_cluster(pts, k=1)
-        merges = [(m.id_a, m.id_b) for m in dendrogram.merges]
-        pairs = merge_pairs(n, merges)
+        pairs, _ = ward_cluster(pts)
+        merges = pairs.tolist()
+        assert np.array_equal(merge_pairs(n, merges), pairs)  # what the loop makes, the cache check accepts
         for k in range(1, n + 1):
             expected = ward_snapshot_reference(n, merges, k)
             assert ward_cut(pairs, k) == expected
-            assert ward_cluster(pts, k)[1] == expected
             assert ward_dense_reference(pts, k)[1] == expected
 
     @pytest.mark.parametrize(
@@ -466,37 +466,44 @@ class TestWard:
 
     def test_overflowing_costs_rejected(self):
         with pytest.raises(NonFiniteError):
-            ward_cluster([[1e200], [-1e200], [1e200]], k=1)
+            ward_cluster([[1e200], [-1e200], [1e200]])
 
 
 class TestCompositionAudit:
     def test_skewed_cluster(self):
         assignments = [0] * 7 + [1] * 4
-        genders = ["male"] * 6 + ["female"] + ["female"] * 3 + ["male"]
-        rows = composition_audit(assignments, genders, global_counts=(4, 7))
+        genders = ["male"] * 6 + ["female"] + ["female"] * 3 + ["male"]  # 4 female, 7 male
+        rows = composition_audit(assignments, genders)
         first = rows[0]
         assert (first.female, first.male) == (1, 6)
         assert first.ratio == pytest.approx(6.0)
         assert first.expected_female == pytest.approx(7 * 4 / 11)
 
     def test_reference_expected_female(self):
-        # global 3:1 male to female, cluster of six males and one female
-        rows = composition_audit([0] * 7, ["male"] * 6 + ["female"], global_counts=(25, 75))
+        # overall 3:1 male to female (25 and 75), cluster 0 of six males and one female
+        genders = ["male"] * 6 + ["female"] + ["female"] * 24 + ["male"] * 69
+        rows = composition_audit([0] * 7 + [1] * 93, genders)
         assert rows[0].ratio == pytest.approx(6.0)
         assert rows[0].expected_female == pytest.approx(1.75)
 
     def test_matching_proportion_zero_deviation(self):
-        rows = composition_audit([0] * 4, ["female", "male", "male", "male"], (10, 30))
+        # overall 1:3 (10 and 30), cluster 0 in the same proportion
+        genders = ["female", "male", "male", "male"] + ["female"] * 9 + ["male"] * 27
+        rows = composition_audit([0] * 4 + [1] * 36, genders)
         assert rows[0].deviation == pytest.approx(0.0)
 
     def test_all_male_cluster_infinite_ratio(self):
-        rows = composition_audit([0, 0], ["male", "male"], (5, 5))
+        rows = composition_audit([0, 0, 1, 1, 1, 1, 1, 1, 1, 1], ["male"] * 5 + ["female"] * 5)
         assert math.isinf(rows[0].ratio)
+        assert rows[0].expected_female == pytest.approx(1.0)  # overall 5:5
 
     def test_counts_partition_totals(self):
         rng = np.random.default_rng(0)
         assignments = rng.integers(0, 4, size=60).tolist()
         genders = rng.choice(["female", "male", "unknown"], size=60).tolist()
-        rows = composition_audit(assignments, genders, (10, 20))
+        rows = composition_audit(assignments, genders)
         assert sum(r.female for r in rows) == genders.count("female")
         assert sum(r.male for r in rows) == genders.count("male")
+        female_share = genders.count("female") / (genders.count("female") + genders.count("male"))
+        for row in rows:
+            assert row.expected_female == (row.female + row.male) * female_share

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from emocast.corpus import CharacterRecord, Corpus, Gender, ingest_metadata
 from emocast.emotion import PRIMARY_EMOTIONS, load_lexicon
 from emocast.errors import EmocastError, InputEncodingError, read_utf8
-from emocast.lexical import text_pass
+from emocast.lexical import load_word_list, load_word_list_file, text_pass
 from emocast.screenplay import (
     POSITIONAL_TOLERANCE,
     TEXT_TOLERANCE,
@@ -402,3 +402,16 @@ class TestErrorDiscipline:
             ingest_metadata(text)
         except Exception as exc:  # the type is what is checked
             assert isinstance(exc, EmocastError), repr(exc)
+
+    @given(st.one_of(st.binary(max_size=200), st.text(max_size=200).map(str.encode)))
+    @example(b"cat\r\ndog\n# caf\xe9\n")
+    def test_load_word_list_file(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "words.txt"
+            path.write_bytes(data)
+            try:
+                words = load_word_list_file(path)
+            except Exception as exc:  # the type is what is checked
+                assert isinstance(exc, InputEncodingError) and _names_a_line(exc), repr(exc)
+            else:
+                assert words == load_word_list(data.decode("utf-8"))
