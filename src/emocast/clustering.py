@@ -53,16 +53,6 @@ class KMeansResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class CompositionRow:
-    cluster: int
-    female: int
-    male: int
-    ratio: float  # male per female; inf when the cluster has no females
-    expected_female: float
-    deviation: float
-
-
 def _as_matrix(points: Sequence[Sequence[float]]) -> np.ndarray:
     if isinstance(points, np.ndarray) and points.dtype == np.float64 and points.ndim == 2:
         mat = np.ascontiguousarray(points)  # copies only a non-contiguous view
@@ -440,13 +430,15 @@ def ward_cut(pairs: np.ndarray, k: int) -> list[int]:
     return label[head].tolist()
 
 
-def composition_audit(assignments: Sequence[int], genders: Sequence[str]) -> list[CompositionRow]:
-    """Per-cluster gender balance against the female share of all ``genders``.
+def composition_audit(assignments: Sequence[int], genders: Sequence[str]) -> list[dict]:
+    """Per-cluster gender balance against the female share of all ``genders``:
+    the composition.csv rows of one method, without the method column.
 
     ``genders`` holds the labels emotions.csv holds: "female", "male" or
-    "unknown". The expected female count of a cluster scales its
-    female+male size by the female fraction of all female and male labels;
-    deviation is the absolute gap to the observed count.
+    "unknown". ratio is male per female, inf with no females and nan with
+    neither. The expected female count of a cluster scales its female+male
+    size by the female fraction of all female and male labels; deviation is
+    the absolute gap to the observed count.
     """
     if len(assignments) != len(genders):
         raise ValueError("assignments and genders must align")
@@ -472,13 +464,13 @@ def composition_audit(assignments: Sequence[int], genders: Sequence[str]) -> lis
             ratio = math.nan
         expected = (female + male) * fraction
         rows.append(
-            CompositionRow(
-                cluster=cluster,
-                female=female,
-                male=male,
-                ratio=ratio,
-                expected_female=expected,
-                deviation=abs(female - expected),
-            )
+            {
+                "cluster": cluster,
+                "female": female,
+                "male": male,
+                "ratio": ratio,
+                "expected_female": expected,
+                "deviation": abs(female - expected),
+            }
         )
     return rows

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,31 +41,20 @@ class CharacterRecord:
     dialogues: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class CorpusSummary:
-    characters: int
-    dialogues: int
-    female: int
-    male: int
-    unknown: int
-
-
 @dataclass
 class Corpus:
     records: list[CharacterRecord]
     provenance: dict[str, str]
 
-    def summary(self) -> CorpusSummary:
-        by_gender = {g: 0 for g in Gender}
-        for rec in self.records:
-            by_gender[rec.gender] += 1
-        return CorpusSummary(
-            characters=len(self.records),
-            dialogues=sum(len(rec.dialogues) for rec in self.records),
-            female=by_gender[Gender.FEMALE],
-            male=by_gender[Gender.MALE],
-            unknown=by_gender[Gender.UNKNOWN],
-        )
+    def summary(self) -> dict[str, int]:
+        """The counts report.json's summary holds: characters, dialogues,
+        then characters per gender."""
+        by_gender = Counter(rec.gender.value for rec in self.records)
+        return {
+            "characters": len(self.records),
+            "dialogues": sum(len(rec.dialogues) for rec in self.records),
+            **{g.value: by_gender[g.value] for g in Gender},
+        }
 
 
 MetadataMap = dict[tuple[str, str], tuple[Gender, int]]

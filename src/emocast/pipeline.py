@@ -5,9 +5,11 @@ Each stage takes its inputs as arguments and writes its artifacts.
 run loads the lexicon once and tokenizes each dialogue once. The staged
 commands in ``STAGES`` load the same inputs from the artifacts of the
 earlier stages instead, after a staleness check, so an expensive stage can
-be rerun on its own; both routes write the same bytes. Each stage builds
-its records once, as dicts in column order: its CSVs are written from them,
-report.json embeds them, and ``_write`` replaces every artifact in one step.
+be rerun on its own; both routes write the same bytes. Each record is
+built once, as a dict in column order; the stats, clustering and corpus
+kernels return theirs as the rows their artifacts hold. The CSVs are
+written from those dicts, report.json embeds them, and ``_write`` replaces
+every artifact in one step.
 Artifact bytes are deterministic for a fixed config and inputs: rows are
 sorted, floats use their shortest repr, and every CSV uses "\\n" line
 endings. Only report.json carries a timestamp. cluster_cache.json keeps the
@@ -24,7 +26,7 @@ import math
 import os
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -34,7 +36,6 @@ import numpy as np
 from . import __version__
 from .clustering import (
     DEFAULT_RESTARTS,
-    CompositionRow,
     best_kmeans,
     centroid_sse,
     composition_audit,
@@ -71,7 +72,6 @@ SCRIPT_SUFFIXES = (".txt", ".jsonl", ".json")
 DEFAULT_TOP_WORDS = 50
 K_MAX_DEFAULT = 10
 EMOTIONS_HEADER = ["movie", "name", "gender", *EMOTION_COLUMNS, "no_affect", "dialogue_count"]
-U_FIELDS = ("u1", "u2", "z", "p_value")
 WORD_FIELDS = ("word", "count")
 # The only CSV column named apart from its record key
 CLUSTERS_CSV_NAMES = {"kmeans": "kmeans_cluster", "ward": "ward_cluster"}
@@ -259,8 +259,8 @@ def stage_parse(cfg: RunConfig) -> Corpus:
     _write(cfg.output_dir / "corpus.json", corpus_to_json(corpus))
     s = corpus.summary()
     print(
-        f"[parse] {len(dicts)} movies -> {s.characters} characters, {s.dialogues} dialogues "
-        f"({s.female} female / {s.male} male / {s.unknown} unknown)"
+        f"[parse] {len(dicts)} movies -> {s['characters']} characters, {s['dialogues']} dialogues "
+        f"({s['female']} female / {s['male']} male / {s['unknown']} unknown)"
     )
     return corpus
 
@@ -335,17 +335,10 @@ def stage_stats(cfg: RunConfig, corpus: Corpus, rows: np.ndarray) -> tuple[list[
     """
     labels = np.array([rec.gender.value for rec in corpus.records for _ in rec.dialogues], dtype=str)
     gendered = labels != Gender.UNKNOWN.value
-    tests = [
-        {
-            "emotion": row.emotion,
-            **{key: None if row.result is None else getattr(row.result, key) for key in U_FIELDS},
-            "higher_group": row.higher_group,
-        }
-        for row in emotion_test_battery(rows[gendered], labels[gendered])
-    ]
+    tests = emotion_test_battery(rows[gendered], labels[gendered])
     # the battery has a row per emotion and found both groups, so neither table is empty
     _write_csv(cfg.output_dir / "stats.csv", list(tests[0]), (test.values() for test in tests))
-    timebins = [asdict(row) for row in gender_distribution_over_time(corpus, cfg.bin_years)]
+    timebins = gender_distribution_over_time(corpus, cfg.bin_years)
     _write_csv(cfg.output_dir / "timebins.csv", list(timebins[0]), (row.values() for row in timebins))
     degenerate = sum(1 for test in tests if test["p_value"] is None)
     print(f"[stats] {len(tests)} emotion tests ({degenerate} degenerate), {len(timebins)} year bins")
@@ -462,8 +455,7 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
 
     genders = [gender for _, _, gender in kept]
     composition = {
-        method: [asdict(row) for row in composition_audit(assign, genders)]
-        for method, assign in (("kmeans", km_assign), ("ward", ward_assign))
+        method: composition_audit(assign, genders) for method, assign in (("kmeans", km_assign), ("ward", ward_assign))
     }
     assignments = [
         {"movie": movie, "name": name, "gender": gender, "kmeans": km_assign[i], "ward": ward_assign[i]}
@@ -479,7 +471,7 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     )
     _write_csv(
         out / "composition.csv",
-        ["method", *(f.name for f in fields(CompositionRow))],
+        ["method", *composition["kmeans"][0]],
         ([method, *row.values()] for method, rows in composition.items() for row in rows),
     )
     _write_csv(out / "ssecurve.csv", list(sse[0]), (row.values() for row in sse))
@@ -557,7 +549,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     tests, timebins = stage_stats(cfg, corpus, rows)
     del rows  # no later stage reads the dialogue rows; cluster and project can reuse their memory
     report = {
-        "summary": {"movies": len(corpus.provenance), **asdict(corpus.summary())},
+        "summary": {"movies": len(corpus.provenance), **corpus.summary()},
         "tests": tests,
         "timebins": timebins,
         "clusters": stage_cluster(cfg, characters),

@@ -31,23 +31,8 @@ class UTestResult:
     n2: int
 
 
-@dataclass(frozen=True)
-class TimeBinRow:
-    """Character counts for one release-year bin; pct is female/(female+male)."""
-
-    bin_start: int
-    bin_end: int
-    female: int
-    male: int
-    unknown: int
-    female_pct: float | None
-
-
-@dataclass(frozen=True)
-class BatteryRow:
-    emotion: str
-    result: UTestResult | None
-    higher_group: str  # group name, "tie", or "degenerate"
+# The UTestResult fields that a battery row carries, in stats.csv column order
+U_FIELDS = ("u1", "u2", "z", "p_value")
 
 
 def _as_finite_array(values: Sequence[float], what: str) -> np.ndarray:
@@ -106,8 +91,10 @@ def mann_whitney_u(group_a: Sequence[float], group_b: Sequence[float]) -> UTestR
     return UTestResult(u1=u1, u2=u2, z=z, p_value=p, n1=n1, n2=n2)
 
 
-def gender_distribution_over_time(corpus: Corpus, bin_width: int = 5) -> list[TimeBinRow]:
-    """Character counts per release-year bin anchored at multiples of bin_width.
+def gender_distribution_over_time(corpus: Corpus, bin_width: int = 5) -> list[dict]:
+    """Character counts per release-year bin anchored at multiples of bin_width,
+    as the timebins.csv rows: bin_start, bin_end, female, male, unknown and
+    female_pct, which is 100 * female / (female + male) or None.
 
     Bins with no characters are omitted. UNKNOWN characters appear in their
     own column and stay out of the female_pct denominator.
@@ -125,24 +112,27 @@ def gender_distribution_over_time(corpus: Corpus, bin_width: int = 5) -> list[Ti
         female, male = counts[Gender.FEMALE], counts[Gender.MALE]
         denom = female + male
         rows.append(
-            TimeBinRow(
-                bin_start=start,
-                bin_end=start + bin_width - 1,
-                female=female,
-                male=male,
-                unknown=counts[Gender.UNKNOWN],
-                female_pct=100.0 * female / denom if denom else None,
-            )
+            {
+                "bin_start": start,
+                "bin_end": start + bin_width - 1,
+                "female": female,
+                "male": male,
+                "unknown": counts[Gender.UNKNOWN],
+                "female_pct": 100.0 * female / denom if denom else None,
+            }
         )
     return rows
 
 
-def emotion_test_battery(matrix: Sequence[Sequence[float]], labels: Sequence[str]) -> list[BatteryRow]:
+def emotion_test_battery(matrix: Sequence[Sequence[float]], labels: Sequence[str]) -> list[dict]:
     """Run the female-vs-male U test per emotion column, sorted by ascending p-value.
 
+    Each row is a stats.csv row: the emotion, the U_FIELDS of its test and
+    higher_group, which is a group name, "tie" or "degenerate".
     ``labels`` holds one group name per matrix row; rows outside the two
     groups are ignored. A constant column raises DegenerateError internally
-    and is reported as a degenerate row without aborting the rest.
+    and is reported as a degenerate row, with its U_FIELDS None and sorted
+    last, without aborting the rest.
     """
     group_a, group_b = Gender.FEMALE.value, Gender.MALE.value
     data = np.asarray(matrix, dtype=float)
@@ -156,12 +146,12 @@ def emotion_test_battery(matrix: Sequence[Sequence[float]], labels: Sequence[str
     if not mask_a.any() or not mask_b.any():
         raise ValueError(f"need at least one row in each of {group_a!r} and {group_b!r}")
 
-    rows: list[tuple[int, BatteryRow]] = []
+    rows = []
     for col, emotion in enumerate(EMOTION_COLUMNS):
         try:
             result = mann_whitney_u(data[mask_a, col], data[mask_b, col])
         except DegenerateError:
-            rows.append((col, BatteryRow(emotion=emotion, result=None, higher_group="degenerate")))
+            rows.append({"emotion": emotion, **dict.fromkeys(U_FIELDS), "higher_group": "degenerate"})
             continue
         if result.u1 > result.u2:
             higher = group_a
@@ -169,12 +159,6 @@ def emotion_test_battery(matrix: Sequence[Sequence[float]], labels: Sequence[str
             higher = group_b
         else:
             higher = "tie"
-        rows.append((col, BatteryRow(emotion=emotion, result=result, higher_group=higher)))
-
-    def sort_key(item: tuple[int, BatteryRow]) -> tuple[int, float, int]:
-        col, row = item
-        if row.result is None:
-            return (1, 0.0, col)
-        return (0, row.result.p_value, col)
-
-    return [row for _, row in sorted(rows, key=sort_key)]
+        rows.append({"emotion": emotion, **{key: getattr(result, key) for key in U_FIELDS}, "higher_group": higher})
+    # sorted() is stable, so ties keep EMOTION_COLUMNS order
+    return sorted(rows, key=lambda row: (row["p_value"] is None, row["p_value"] or 0.0))

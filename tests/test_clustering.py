@@ -475,35 +475,35 @@ class TestCompositionAudit:
         genders = ["male"] * 6 + ["female"] + ["female"] * 3 + ["male"]  # 4 female, 7 male
         rows = composition_audit(assignments, genders)
         first = rows[0]
-        assert (first.female, first.male) == (1, 6)
-        assert first.ratio == pytest.approx(6.0)
-        assert first.expected_female == pytest.approx(7 * 4 / 11)
+        assert (first["female"], first["male"]) == (1, 6)
+        assert first["ratio"] == pytest.approx(6.0)
+        assert first["expected_female"] == pytest.approx(7 * 4 / 11)
 
     def test_reference_expected_female(self):
         # overall 3:1 male to female (25 and 75), cluster 0 of six males and one female
         genders = ["male"] * 6 + ["female"] + ["female"] * 24 + ["male"] * 69
         rows = composition_audit([0] * 7 + [1] * 93, genders)
-        assert rows[0].ratio == pytest.approx(6.0)
-        assert rows[0].expected_female == pytest.approx(1.75)
+        assert rows[0]["ratio"] == pytest.approx(6.0)
+        assert rows[0]["expected_female"] == pytest.approx(1.75)
 
     def test_matching_proportion_zero_deviation(self):
         # overall 1:3 (10 and 30), cluster 0 in the same proportion
         genders = ["female", "male", "male", "male"] + ["female"] * 9 + ["male"] * 27
         rows = composition_audit([0] * 4 + [1] * 36, genders)
-        assert rows[0].deviation == pytest.approx(0.0)
+        assert rows[0]["deviation"] == pytest.approx(0.0)
 
     def test_all_male_cluster_infinite_ratio(self):
         rows = composition_audit([0, 0, 1, 1, 1, 1, 1, 1, 1, 1], ["male"] * 5 + ["female"] * 5)
-        assert math.isinf(rows[0].ratio)
-        assert rows[0].expected_female == pytest.approx(1.0)  # overall 5:5
+        assert math.isinf(rows[0]["ratio"])
+        assert rows[0]["expected_female"] == pytest.approx(1.0)  # overall 5:5
 
     def test_counts_partition_totals(self):
         rng = np.random.default_rng(0)
         assignments = rng.integers(0, 4, size=60).tolist()
         genders = rng.choice(["female", "male", "unknown"], size=60).tolist()
         rows = composition_audit(assignments, genders)
-        assert sum(r.female for r in rows) == genders.count("female")
-        assert sum(r.male for r in rows) == genders.count("male")
+        assert sum(r["female"] for r in rows) == genders.count("female")
+        assert sum(r["male"] for r in rows) == genders.count("male")
         female_share = genders.count("female") / (genders.count("female") + genders.count("male"))
         for row in rows:
-            assert row.expected_female == (row.female + row.male) * female_share
+            assert row["expected_female"] == (row["female"] + row["male"]) * female_share

@@ -105,8 +105,8 @@ class TestAssembleCorpus:
     def test_gender_counts_partition_corpus(self):
         corpus = assemble_corpus(two_movie_dicts(), full_meta())
         s = corpus.summary()
-        assert s.female + s.male + s.unknown == s.characters == 6
-        assert s.dialogues == 30
+        assert s["female"] + s["male"] + s["unknown"] == s["characters"] == 6
+        assert s["dialogues"] == 30
 
 
 records_strategy = st.lists(

@@ -166,25 +166,25 @@ class TestGenderDistribution:
         rows = gender_distribution_over_time(_corpus(pairs), 5)
         assert len(rows) == 1
         row = rows[0]
-        assert (row.bin_start, row.bin_end) == (2000, 2004)
-        assert row.female_pct == 15.0
+        assert (row["bin_start"], row["bin_end"]) == (2000, 2004)
+        assert row["female_pct"] == 15.0
 
     def test_empty_bins_omitted(self):
         rows = gender_distribution_over_time(
             _corpus([(1999, Gender.MALE), (2016, Gender.FEMALE)]), 5
         )
-        assert [(r.bin_start, r.bin_end) for r in rows] == [(1995, 1999), (2015, 2019)]
+        assert [(r["bin_start"], r["bin_end"]) for r in rows] == [(1995, 1999), (2015, 2019)]
 
     def test_unknown_reported_separately(self):
         rows = gender_distribution_over_time(
             _corpus([(2000, Gender.FEMALE), (2000, Gender.UNKNOWN)]), 5
         )
-        assert rows[0].unknown == 1
-        assert rows[0].female_pct == 100.0
+        assert rows[0]["unknown"] == 1
+        assert rows[0]["female_pct"] == 100.0
 
     def test_bins_anchored_at_multiples(self):
         rows = gender_distribution_over_time(_corpus([(2017, Gender.MALE)]), 5)
-        assert rows[0].bin_start == 2015
+        assert rows[0]["bin_start"] == 2015
 
 
 def _battery_matrix(rng, n_female=20, n_male=20, joy_gap=0.8):
@@ -201,10 +201,10 @@ class TestEmotionTestBattery:
     def test_planted_joy_signal(self):
         matrix, labels = _battery_matrix(np.random.default_rng(5))
         rows = emotion_test_battery(matrix, labels)
-        joy = next(row for row in rows if row.emotion == "joy")
-        assert joy.result.p_value < 0.01
-        assert joy.higher_group == "female"
-        assert rows[0].emotion == "joy"  # smallest p sorts first
+        joy = next(row for row in rows if row["emotion"] == "joy")
+        assert joy["p_value"] < 0.01
+        assert joy["higher_group"] == "female"
+        assert rows[0]["emotion"] == "joy"  # smallest p sorts first
 
     def test_identical_groups_near_one(self):
         rng = np.random.default_rng(9)
@@ -212,20 +212,20 @@ class TestEmotionTestBattery:
         matrix = np.vstack([half, half])
         labels = ["female"] * 15 + ["male"] * 15
         for row in emotion_test_battery(matrix, labels):
-            assert row.result.p_value > 0.9
+            assert row["p_value"] > 0.9
 
     def test_constant_column_isolated(self):
         matrix, labels = _battery_matrix(np.random.default_rng(5))
         envy_col = EMOTION_COLUMNS.index("envy")
         matrix[:, envy_col] = 0.25
         rows = emotion_test_battery(matrix, labels)
-        envy = next(row for row in rows if row.emotion == "envy")
-        assert envy.result is None
-        assert envy.higher_group == "degenerate"
-        assert sum(row.result is not None for row in rows) == 31
-        assert rows[-1].emotion == "envy"  # degenerate rows sort last
+        envy = next(row for row in rows if row["emotion"] == "envy")
+        assert [envy[key] for key in ("u1", "u2", "z", "p_value")] == [None] * 4
+        assert envy["higher_group"] == "degenerate"
+        assert sum(row["p_value"] is not None for row in rows) == 31
+        assert rows[-1]["emotion"] == "envy"  # degenerate rows sort last
 
     def test_row_per_emotion(self):
         matrix, labels = _battery_matrix(np.random.default_rng(2))
         rows = emotion_test_battery(matrix, labels)
-        assert sorted(row.emotion for row in rows) == sorted(EMOTION_COLUMNS)
+        assert sorted(row["emotion"] for row in rows) == sorted(EMOTION_COLUMNS)
