@@ -170,16 +170,32 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
 
 
+# The fields of a corpus.json record and their JSON types
+_RECORD_FIELDS = {"movie": str, "name": str, "year": int, "gender": str, "dialogues": list}
+
+
 def corpus_from_json(text: str) -> Corpus:
+    """The corpus that ``corpus_to_json`` wrote. Raises ValueError unless
+    the text is that shape, naming the first record that is not."""
     data = json.loads(text)
-    records = [
-        CharacterRecord(
-            name=item["name"],
-            movie=item["movie"],
-            year=int(item["year"]),
-            gender=Gender(item["gender"]),
-            dialogues=tuple(item["dialogues"]),
-        )
-        for item in data["records"]
-    ]
+    if not isinstance(data, dict) or not isinstance(data.get("records"), list):
+        raise ValueError("expected an object with a records list")
+    if not isinstance(data.get("provenance", {}), dict):
+        raise ValueError("provenance is not an object")
+    records = []
+    for i, item in enumerate(data["records"]):
+        if not isinstance(item, dict):
+            raise ValueError(f"records[{i}] is not an object")
+        for field, kind in _RECORD_FIELDS.items():
+            if field not in item:
+                raise ValueError(f"records[{i}] has no {field!r}")
+            if not isinstance(item[field], kind) or isinstance(item[field], bool):
+                raise ValueError(f"records[{i}]: {field!r} is a {type(item[field]).__name__}, not a {kind.__name__}")
+        if not all(isinstance(dialogue, str) for dialogue in item["dialogues"]):
+            raise ValueError(f"records[{i}]: 'dialogues' must hold only strings")
+        try:
+            gender = Gender(item["gender"])
+        except ValueError:
+            raise ValueError(f"records[{i}]: gender must be female/male/unknown, got {item['gender']!r}") from None
+        records.append(CharacterRecord(item["name"], item["movie"], item["year"], gender, tuple(item["dialogues"])))
     return Corpus(records=records, provenance=dict(data.get("provenance", {})))

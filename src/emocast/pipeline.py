@@ -72,6 +72,7 @@ SCRIPT_SUFFIXES = (".txt", ".jsonl", ".json")
 DEFAULT_TOP_WORDS = 50
 K_MAX_DEFAULT = 10
 EMOTIONS_HEADER = ["movie", "name", "gender", *EMOTION_COLUMNS, "no_affect", "dialogue_count"]
+GENDER_LABELS = {g.value for g in Gender}
 WORD_FIELDS = ("word", "count")
 # The only CSV column named apart from its record key
 CLUSTERS_CSV_NAMES = {"kmeans": "kmeans_cluster", "ward": "ward_cluster"}
@@ -216,7 +217,10 @@ def _script_files(cfg: RunConfig) -> list[Path]:
 def _load_corpus(cfg: RunConfig, stage: str) -> Corpus:
     artifact = cfg.output_dir / "corpus.json"
     _check_fresh(cfg, artifact, [*_script_files(cfg), cfg.metadata_path], stage)
-    return corpus_from_json(artifact.read_text(encoding="utf-8"))
+    try:
+        return corpus_from_json(artifact.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{stage}: {artifact.name}: {exc}") from None
 
 
 def _load_lexicon(cfg: RunConfig) -> EmotionLexicon:
@@ -313,6 +317,8 @@ def _load_characters(cfg: RunConfig, stage: str) -> CharacterTable:
                 )
             keys.append((rec[0], rec[1], rec[2]))
             try:
+                if rec[2] not in GENDER_LABELS:
+                    raise ValueError(f"gender must be female/male/unknown, got {rec[2]!r}")
                 # float(repr(x)) == x, so these are the bits stage_score computed
                 vectors.append([float(cell) for cell in rec[3:-2]])
                 if not all(map(math.isfinite, vectors[-1])):

@@ -107,6 +107,7 @@ def load_positional_blocks(source: str) -> list[RawBlock]:
         try:
             obj = _decode_record(line)
             text = str(obj["text"]).strip()
+            text.encode("utf-8")  # rejects a lone surrogate escape such as "\udc80"
             left = int(obj["left"])
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad positional block on line {i + 1}: {exc}") from exc

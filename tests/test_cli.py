@@ -272,10 +272,41 @@ class TestErrors:
         assert "emotions.csv line 4: emotion values must be finite" in err
         assert err.count("\n") == 1  # one error line, no traceback
 
+    @pytest.mark.parametrize("command", ["cluster", "project"])
+    def test_bad_gender_label_names_file_and_line(self, fixture_args, capsys, command):
+        err = self._cluster_with_emotions_line(
+            fixture_args, capsys, 2, lambda cells: [*cells[:2], "Female", *cells[3:]], command
+        )
+        assert f"error in stage {command}: " in err
+        assert "emotions.csv line 2: gender must be female/male/unknown, got 'Female'" in err
+        assert err.count("\n") == 1  # one error line, no traceback
+
     def test_short_emotions_row_names_file_and_line(self, fixture_args, capsys):
         err = self._cluster_with_emotions_line(fixture_args, capsys, 3, lambda cells: cells[:20])
         assert "emotions.csv line 3" in err
         assert "expected 37 fields" in err
+
+    @pytest.mark.parametrize(
+        "mangle, message",
+        [
+            (lambda rec: rec.pop("year"), "records[1] has no 'year'"),
+            (lambda rec: rec.update(gender="Female"), "records[1]: gender must be female/male/unknown, got 'Female'"),
+            (lambda rec: rec.update(dialogues="Hello."), "records[1]: 'dialogues' is a str, not a list"),
+        ],
+        ids=["no-year", "gender-label", "dialogues-string"],
+    )
+    def test_malformed_corpus_record_names_file_and_record(self, fixture_args, capsys, mangle, message):
+        args, out = fixture_args
+        assert run_cli("parse", *args) == 0
+        path = out / "corpus.json"
+        corpus = json.loads(path.read_text(encoding="utf-8"))
+        mangle(corpus["records"][1])
+        path.write_text(json.dumps(corpus), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("score", *args) == 1
+        err = capsys.readouterr().err
+        assert f"error in stage score: score: corpus.json: {message}" in err
+        assert err.count("\n") == 1  # one error line, no traceback
 
     def test_duplicate_movie_stem_rejected(self, fixtures_dir, tmp_path, capsys):
         scripts = tmp_path / "scripts"

@@ -370,14 +370,21 @@ class TestErrorDiscipline:
     @example(b'{"text": "A", "left": 1' + b"0" * 5000 + b"}", ".jsonl")
     @example(b"  HARRY\n\xff Hello.\n", ".txt")
     @example(b"\xef\xbb\xbf" + b'{"text": "A", "left": 1}\n', ".jsonl")
+    @example(
+        b'{"text": "INT. ROOM", "left": 0}\n{"text": "ELENA \\udc80", "left": 20}\n{"text": "Hi.", "left": 10}\n',
+        ".jsonl",
+    )
     def test_parse_script(self, data, suffix):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"script{suffix}"
             path.write_bytes(data)
             try:
-                parse_script(path)
+                characters = parse_script(path)
             except Exception as exc:  # the type is what is checked
                 assert _names_a_line(exc), repr(exc)
+            else:  # what parses can be written: no lone surrogate from a JSON escape
+                for name, dialogues in characters.items():
+                    "".join([name, *dialogues]).encode("utf-8")
 
     @given(st.one_of(st.text(max_size=200), lexicon_texts()))
     def test_load_lexicon(self, text):
