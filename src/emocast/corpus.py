@@ -49,11 +49,11 @@ class Corpus:
     def summary(self) -> dict[str, int]:
         """The counts report.json's summary holds: characters, dialogues,
         then characters per gender."""
-        by_gender = Counter(rec.gender.value for rec in self.records)
+        by_gender = Counter(rec.gender for rec in self.records)
         return {
             "characters": len(self.records),
             "dialogues": sum(len(rec.dialogues) for rec in self.records),
-            **{g.value: by_gender[g.value] for g in Gender},
+            **{g.value: by_gender[g] for g in Gender},
         }
 
 
@@ -170,7 +170,7 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(payload, indent=2, ensure_ascii=True) + "\n"
 
 
-# The fields of a corpus.json record and their JSON types
+# The fields of a corpus.json record and the type each must load as
 _RECORD_FIELDS = {"movie": str, "name": str, "year": int, "gender": str, "dialogues": list}
 
 
