@@ -194,6 +194,10 @@ def corpus_from_json(text: str) -> Corpus:
         if not all(isinstance(dialogue, str) for dialogue in item["dialogues"]):
             raise ValueError(f"records[{i}]: 'dialogues' must hold only strings")
         try:
+            "".join([item["movie"], item["name"], *item["dialogues"]]).encode("utf-8")
+        except UnicodeEncodeError:  # a lone surrogate escape such as "\udc80"
+            raise ValueError(f"records[{i}]: a string holds a lone surrogate, which UTF-8 cannot encode") from None
+        try:
             gender = Gender(item["gender"])
         except ValueError:
             raise ValueError(f"records[{i}]: gender must be female/male/unknown, got {item['gender']!r}") from None

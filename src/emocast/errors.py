@@ -55,7 +55,8 @@ class CalibrationError(EmocastError):
 
 
 class StaleInputError(EmocastError):
-    """A stage artifact is older than the configured sources (strict mode)."""
+    """A stage's input artifact is not recorded in manifest.json as made
+    from the current inputs and settings (strict mode)."""
 
 
 class InputEncodingError(EmocastError):

@@ -4,8 +4,9 @@ Each stage takes its inputs as arguments and writes its artifacts.
 ``run_pipeline`` hands each stage's results to the next in memory, so a
 run loads the lexicon once and tokenizes each dialogue once. The staged
 commands in ``STAGES`` load the same inputs from the artifacts of the
-earlier stages instead, after a staleness check, so an expensive stage can
-be rerun on its own; both routes write the same bytes. Each record is
+earlier stages instead, warning unless manifest.json records each as made
+from the inputs ``PRODUCERS`` lists, so an expensive stage can be rerun on
+its own; both routes write the same bytes. Each record is
 built once, as a dict in column order; the stats, clustering and corpus
 kernels return theirs as the rows their artifacts hold. The CSVs are
 written from those dicts, report.json embeds them, and ``_write`` replaces
@@ -14,7 +15,7 @@ Artifact bytes are deterministic for a fixed config and inputs: rows are
 sorted, floats use their shortest repr, and every CSV uses "\\n" line
 endings. Only report.json carries a timestamp. cluster_cache.json keeps the
 cluster stage's k-means sweep and Ward merges for the next run on the same
-matrix and seed; it changes no other artifact.
+emotions.csv and seed; it changes no other artifact.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from . import __version__
+from . import __version__, clustering
 from .clustering import (
-    DEFAULT_RESTARTS,
     best_kmeans,
     centroid_sse,
     composition_audit,
@@ -190,17 +190,43 @@ def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Iterable[object
     _write(path, buf.getvalue())
 
 
-def _check_fresh(cfg: RunConfig, artifact: Path, sources: Sequence[Path], stage: str) -> None:
+def _fingerprint(files: Iterable[Path], config: dict) -> str:
+    """sha256 over the package version, ``config`` and each file's name and content."""
+    import hashlib  # here, so that `emocast --help` does not import it
+
+    digests = []
+    for path in files:
+        with open(path, "rb") as fh:
+            digests.append([path.name, hashlib.file_digest(fh, "sha256").hexdigest()])
+    return hashlib.sha256(json.dumps([__version__, config, digests], sort_keys=True).encode()).hexdigest()
+
+
+def _records(cfg: RunConfig) -> dict:
+    """manifest.json's fingerprint per producer; none when it is missing or unreadable."""
+    try:
+        return dict(json.loads((cfg.output_dir / "manifest.json").read_bytes()))
+    except (OSError, ValueError, TypeError, RecursionError):
+        return {}
+
+
+def _record(cfg: RunConfig, *producers: str) -> None:
+    """Record in manifest.json what each producer made its artifact from."""
+    records = _records(cfg) | {producer: _fingerprint(*PRODUCERS[producer](cfg)) for producer in producers}
+    _write(cfg.output_dir / "manifest.json", json.dumps(records, indent=2, sort_keys=True) + "\n")
+
+
+def _made_by(cfg: RunConfig, producer: str, stage: str) -> Path:
+    """``producer``'s artifact for ``stage``; warns, or fails under strict, unless its record matches."""
+    files, config = PRODUCERS[producer](cfg)
+    artifact = files[-1]
     if not artifact.is_file():
-        raise FileNotFoundError(
-            f"{stage}: missing {artifact.name}; run the earlier stage first"
-        )
-    newest = max((src.stat().st_mtime for src in sources if src.exists()), default=0.0)
-    if newest > artifact.stat().st_mtime:
-        message = f"{stage}: {artifact.name} is older than the configured sources"
+        raise FileNotFoundError(f"{stage}: missing {artifact.name}; run {producer} first")
+    if _records(cfg).get(producer) != _fingerprint(files, config):
+        message = f"{stage}: {artifact.name} was not made from the current inputs and settings; rerun {producer}"
         if cfg.strict:
             raise StaleInputError(message)
         print(f"warning: {message}", file=sys.stderr)
+    return artifact
 
 
 def _script_files(cfg: RunConfig) -> list[Path]:
@@ -215,11 +241,10 @@ def _script_files(cfg: RunConfig) -> list[Path]:
 
 
 def _load_corpus(cfg: RunConfig, stage: str) -> Corpus:
-    artifact = cfg.output_dir / "corpus.json"
-    _check_fresh(cfg, artifact, [*_script_files(cfg), cfg.metadata_path], stage)
+    artifact = _made_by(cfg, "parse", stage)
     try:
-        return corpus_from_json(artifact.read_text(encoding="utf-8"))
-    except ValueError as exc:
+        return corpus_from_json(read_utf8(artifact))
+    except (InputEncodingError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
         raise ValueError(f"{stage}: {artifact.name}: {exc}") from None
 
 
@@ -302,30 +327,36 @@ def stage_score(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, np.ndar
 
 
 def _load_characters(cfg: RunConfig, stage: str) -> CharacterTable:
-    artifact = cfg.output_dir / "emotions.csv"
-    _check_fresh(cfg, artifact, [cfg.output_dir / "corpus.json", cfg.lexicon_path], stage)
-    with artifact.open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != EMOTIONS_HEADER:
-            raise ValueError(f"{stage}: {artifact.name} does not have the emotions.csv columns")
-        keys, vectors, no_affect = [], [], []
-        for rec in reader:
-            if len(rec) != len(EMOTIONS_HEADER) or rec[-2] not in ("true", "false"):
-                raise ValueError(
-                    f"{stage}: {artifact} line {reader.line_num}: expected "
-                    f"{len(EMOTIONS_HEADER)} fields with no_affect true or false"
-                )
-            keys.append((rec[0], rec[1], rec[2]))
-            try:
-                if rec[2] not in GENDER_LABELS:
-                    raise ValueError(f"gender must be female/male/unknown, got {rec[2]!r}")
-                # float(repr(x)) == x, so these are the bits stage_score computed
-                vectors.append([float(cell) for cell in rec[3:-2]])
-                if not all(map(math.isfinite, vectors[-1])):
-                    raise ValueError("emotion values must be finite, not nan or inf")
-            except ValueError as exc:
-                raise ValueError(f"{stage}: {artifact} line {reader.line_num}: {exc}") from None
-            no_affect.append(rec[-2] == "true")
+    artifact = _made_by(cfg, "score", stage)
+    keys, vectors, no_affect = [], [], []
+    try:
+        with artifact.open(encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != EMOTIONS_HEADER:
+                raise ValueError(f"{stage}: {artifact.name} does not have the emotions.csv columns")
+            for rec in reader:
+                if len(rec) != len(EMOTIONS_HEADER) or rec[-2] not in ("true", "false"):
+                    raise ValueError(
+                        f"{stage}: {artifact} line {reader.line_num}: expected "
+                        f"{len(EMOTIONS_HEADER)} fields with no_affect true or false"
+                    )
+                keys.append((rec[0], rec[1], rec[2]))
+                try:
+                    if rec[2] not in GENDER_LABELS:
+                        raise ValueError(f"gender must be female/male/unknown, got {rec[2]!r}")
+                    # float(repr(x)) == x, so these are the bits stage_score computed
+                    vectors.append([float(cell) for cell in rec[3:-2]])
+                    if not all(map(math.isfinite, vectors[-1])):
+                        raise ValueError("emotion values must be finite, not nan or inf")
+                except ValueError as exc:
+                    raise ValueError(f"{stage}: {artifact} line {reader.line_num}: {exc}") from None
+                no_affect.append(rec[-2] == "true")
+    except UnicodeDecodeError:
+        try:
+            read_utf8(artifact)  # only on this path, to name the line: the read above streams
+        except InputEncodingError as exc:
+            raise InputEncodingError(f"{stage}: {artifact.name}: {exc}") from None
+        raise
     return CharacterTable(
         keys=keys,
         vectors=np.array(vectors).reshape(len(keys), len(EMOTION_COLUMNS)),
@@ -349,30 +380,6 @@ def stage_stats(cfg: RunConfig, corpus: Corpus, rows: np.ndarray) -> tuple[list[
     degenerate = sum(1 for test in tests if test["p_value"] is None)
     print(f"[stats] {len(tests)} emotion tests ({degenerate} degenerate), {len(timebins)} year bins")
     return tests, timebins
-
-
-def _cluster_cache_key(matrix: np.ndarray, seed: int, k_max: int) -> str:
-    """sha256 over everything the cached k-means and Ward results depend on.
-
-    That includes the source of the code that computes them (clustering.py)
-    and stores them (this module): any edit to either reads as a miss.
-    """
-    import hashlib  # here, so that `emocast --help` does not import it
-
-    from . import clustering
-
-    sources = (clustering.__file__, __file__)
-    config = {
-        "code": [hashlib.sha256(Path(source).read_bytes()).hexdigest() for source in sources],
-        "numpy": np.__version__,
-        "seed": seed,
-        "k": [1, k_max],
-        "restarts": DEFAULT_RESTARTS,
-        "shape": list(matrix.shape),
-    }
-    digest = hashlib.sha256(json.dumps(config, sort_keys=True).encode())
-    digest.update(np.asarray(matrix, dtype=np.float64).tobytes())  # C order
-    return digest.hexdigest()
 
 
 def _cached_clusters(
@@ -410,8 +417,9 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     """K-means and Ward assignments, elbow curve, and the gender audit.
 
     The k-means sweep and the Ward merge history are kept in
-    cluster_cache.json, keyed by the matrix, the seed and the sweep, and
-    reused while they validate. A missing cache is recomputed silently, an
+    cluster_cache.json, keyed by the fingerprint of emotions.csv, the code
+    that computes and stores them, the seed and numpy's version, and reused
+    while they validate. A missing cache is recomputed silently, an
     unusable one with one warning; from there both routes share one cut and
     one audit, so artifacts are the same either way.
     """
@@ -422,7 +430,8 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
 
     k_max = min(K_MAX_DEFAULT, n)
     cache_path = cfg.output_dir / CLUSTER_CACHE
-    key = _cluster_cache_key(matrix, cfg.seed, k_max)
+    sources = [cfg.output_dir / "emotions.csv", Path(clustering.__file__), Path(__file__)]
+    key = _fingerprint(sources, {"seed": cfg.seed, "numpy": np.__version__})
     try:
         sweep, pairs = _cached_clusters(cache_path, key, matrix, k_max)
         changed = False
@@ -530,16 +539,21 @@ def stage_words(cfg: RunConfig, words: dict[str, Counter]) -> dict:
     return ranked
 
 
-def _staged_stats(cfg: RunConfig) -> tuple[list[dict], list[dict]]:
-    corpus = _load_corpus(cfg, "stats")
-    return stage_stats(cfg, corpus, _score_text(cfg, corpus)[0])
+# The stages whose artifact a later stage reads: the files and settings each
+# makes it from, then the artifact itself, so that a record matches only
+# outputs that its own run wrote.
+PRODUCERS: dict[str, Callable[[RunConfig], tuple[list[Path], dict]]] = {
+    "parse": lambda cfg: (
+        [*_script_files(cfg), cfg.metadata_path, cfg.output_dir / "corpus.json"], {"min_dialogues": cfg.min_dialogues}
+    ),
+    "score": lambda cfg: ([cfg.output_dir / "corpus.json", cfg.lexicon_path, cfg.output_dir / "emotions.csv"], {}),
+}
 
-
-# Each staged command: its inputs loaded from the artifacts, then the stage.
+# Each staged command: its inputs loaded from the artifacts, the stage, then a producer's record.
 STAGES: dict[str, Callable[[RunConfig], object]] = {
-    "parse": stage_parse,
-    "score": lambda cfg: stage_score(cfg, _load_corpus(cfg, "score")),
-    "stats": _staged_stats,
+    "parse": lambda cfg: (stage_parse(cfg), _record(cfg, "parse")),
+    "score": lambda cfg: (stage_score(cfg, _load_corpus(cfg, "score")), _record(cfg, "score")),
+    "stats": lambda cfg: stage_stats(cfg, (corpus := _load_corpus(cfg, "stats")), _score_text(cfg, corpus)[0]),
     "cluster": lambda cfg: stage_cluster(cfg, _load_characters(cfg, "cluster")),
     "project": lambda cfg: stage_project(cfg, _load_characters(cfg, "project")),
     "words": lambda cfg: stage_words(cfg, _score_text(cfg, _load_corpus(cfg, "words"))[1]),
@@ -570,6 +584,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         },
     }
+    _record(cfg, *PRODUCERS)  # not in parse and score: hashlib there would raise their peak RSS
     _write(cfg.output_dir / "report.json", json.dumps(report, indent=2, ensure_ascii=True) + "\n")
     print(f"[run-all] artifacts written to {cfg.output_dir}")
     return report

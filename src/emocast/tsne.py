@@ -35,6 +35,9 @@ ENTROPY_TOL = 1e-5
 MAX_SEARCH_STEPS = 50
 MOMENTUM_SWITCH_ITER = 250
 KL_RECORD_EVERY = 50
+LEARNING_RATE = 200.0
+EARLY_EXAGGERATION = 12.0  # P is scaled by this for the first EXAGGERATION_ITERS iterations
+EXAGGERATION_ITERS = 250
 _EPS = 1e-12
 
 
@@ -42,22 +45,13 @@ _EPS = 1e-12
 class TsneConfig:
     perplexity: float = 30.0
     iterations: int = 1000
-    learning_rate: float = 200.0
-    early_exaggeration: float = 12.0
-    exaggeration_iters: int = 250
     seed: int = 42
 
     def __post_init__(self) -> None:
         if self.perplexity <= 0:
             raise ValueError("perplexity must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.early_exaggeration < 1:
-            raise ValueError("early_exaggeration must be >= 1")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.exaggeration_iters < 0:
-            raise ValueError("exaggeration_iters must be >= 0")
 
 
 @dataclass
@@ -200,7 +194,7 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
     P = joint_probabilities(X, perplexity)
     mask = P > 0
     P_nz = P[mask]
-    P_exaggerated = P * config.early_exaggeration
+    P_exaggerated = P * EARLY_EXAGGERATION
 
     # buffers[0] holds the kernel of Y, buffers[1] the candidate's; an
     # accepted step swaps them. gram holds the Gram product while a kernel
@@ -213,7 +207,7 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
         if not math.isfinite(total):
             raise NonFiniteError(
                 f"t-SNE iteration {iteration}: the embedding is no longer finite "
-                f"(learning_rate {config.learning_rate:g} may be too large)"
+                f"(learning rate {LEARNING_RATE:g} may be too large)"
             )
         return num, total
 
@@ -227,7 +221,7 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
     trace: list[float] = []
 
     for iteration in range(1, config.iterations + 1):
-        exaggerate = iteration <= config.exaggeration_iters
+        exaggerate = iteration <= EXAGGERATION_ITERS
         if Y_kernel is None:
             Y_kernel = kernel(Y, buffers[0], iteration)
         grad = _gradient(P_exaggerated if exaggerate else P, Y, *Y_kernel, out=gram)
@@ -236,7 +230,7 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
         same_direction = np.sign(grad) == np.sign(velocity)
         gains = np.where(same_direction, gains * 0.8, gains + 0.2)
         np.maximum(gains, 0.01, out=gains)
-        velocity = momentum * velocity - config.learning_rate * step_scale * gains * grad
+        velocity = momentum * velocity - LEARNING_RATE * step_scale * gains * grad
         candidate = Y + velocity
         candidate -= candidate.mean(axis=0)
 

@@ -31,7 +31,10 @@ from emocast.screenplay import (
     normalize_character_name,
 )
 from emocast.tsne import (
+    EARLY_EXAGGERATION,
+    EXAGGERATION_ITERS,
     KL_RECORD_EVERY,
+    LEARNING_RATE,
     MOMENTUM_SWITCH_ITER,
     Embedding2D,
     TsneConfig,
@@ -320,15 +323,15 @@ def tsne_reference(points, config=TsneConfig()):
     rejections = 0
 
     for iteration in range(1, config.iterations + 1):
-        exaggerate = iteration <= config.exaggeration_iters
-        P_eff = P * config.early_exaggeration if exaggerate else P
+        exaggerate = iteration <= EXAGGERATION_ITERS
+        P_eff = P * EARLY_EXAGGERATION if exaggerate else P
         grad = kl_gradient_reference(P_eff, Y)
 
         momentum = 0.5 if iteration <= MOMENTUM_SWITCH_ITER else 0.8
         same_direction = np.sign(grad) == np.sign(velocity)
         gains = np.where(same_direction, gains * 0.8, gains + 0.2)
         np.maximum(gains, 0.01, out=gains)
-        velocity = momentum * velocity - config.learning_rate * step_scale * gains * grad
+        velocity = momentum * velocity - LEARNING_RATE * step_scale * gains * grad
         candidate = Y + velocity
         candidate -= candidate.mean(axis=0)
 

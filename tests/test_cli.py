@@ -2,7 +2,10 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,29 @@ from synth import build_planted_corpus
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def changed_metadata(fixtures_dir, tmp_path):
+    """A copy of the fixture metadata with one gender changed."""
+    path = tmp_path / "metadata.csv"
+    path.write_text((fixtures_dir / "metadata.csv").read_text().replace("MARCUS,male", "MARCUS,female"))
+    return path
+
+
+def copied_inputs(fixtures_dir, tmp_path):
+    """The fixture inputs copied under tmp_path, and the CLI arguments naming them."""
+    inputs = tmp_path / "inputs"
+    shutil.copytree(fixtures_dir, inputs, ignore=shutil.ignore_patterns("golden"))
+    return inputs, [
+        "--scripts", inputs / "scripts",
+        "--metadata", inputs / "metadata.csv",
+        "--lexicon", inputs / "lexicon.tsv",
+        "--out", tmp_path / "out",
+    ]
+
+
+def stale_warning(stage, artifact, producer):
+    return f"warning: {stage}: {artifact} was not made from the current inputs and settings; rerun {producer}"
 
 
 @pytest.fixture
@@ -89,6 +115,7 @@ class TestStagedRuns:
             assert run_cli(stage, *args) == 0, stage
         staged = {name: (out / name).read_bytes() for name in os.listdir(out)}
         assert "cluster_cache.json" in staged
+        assert "manifest.json" in staged  # both routes record the same fingerprints
 
         out2 = out.parent / "out2"
         args2 = [a if a != out else out2 for a in args]
@@ -216,14 +243,7 @@ class TestErrors:
         ],
     )
     def test_non_utf8_input_names_file_and_line(self, fixtures_dir, tmp_path, capsys, command, name):
-        inputs = tmp_path / "inputs"
-        shutil.copytree(fixtures_dir, inputs, ignore=shutil.ignore_patterns("golden"))
-        args = [
-            "--scripts", inputs / "scripts",
-            "--metadata", inputs / "metadata.csv",
-            "--lexicon", inputs / "lexicon.tsv",
-            "--out", tmp_path / "out",
-        ]
+        inputs, args = copied_inputs(fixtures_dir, tmp_path)
         if command == "score":
             assert run_cli("parse", *args) == 0
         path = inputs / name
@@ -243,6 +263,15 @@ class TestErrors:
         assert run_cli("parse", *args, "--config", config) == 2
         assert f"{config}: line 3: not valid UTF-8" in capsys.readouterr().err
 
+    def _failed_after_warning(self, capsys, command, artifact, producer):
+        """The one error line of ``command``, after the one warning that the
+        hand-edited ``artifact`` is not what ``producer`` recorded."""
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2, lines  # the warning and one error line, no traceback
+        assert lines[0] == stale_warning(command, artifact, producer)
+        assert lines[1].startswith(f"error in stage {command}: ")
+        return lines[1]
+
     def _cluster_with_emotions_line(self, fixture_args, capsys, lineno, mangle, command="cluster"):
         args, out = fixture_args
         for stage in ("parse", "score"):
@@ -253,7 +282,7 @@ class TestErrors:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         capsys.readouterr()
         assert run_cli(command, *args) == 1
-        return capsys.readouterr().err
+        return self._failed_after_warning(capsys, command, "emotions.csv", "score")
 
     def test_bad_emotions_cell_names_file_and_line(self, fixture_args, capsys):
         err = self._cluster_with_emotions_line(
@@ -268,18 +297,36 @@ class TestErrors:
         err = self._cluster_with_emotions_line(
             fixture_args, capsys, 4, lambda cells: [*cells[:5], cell, *cells[6:]], command
         )
-        assert f"error in stage {command}: " in err
         assert "emotions.csv line 4: emotion values must be finite" in err
-        assert err.count("\n") == 1  # one error line, no traceback
 
     @pytest.mark.parametrize("command", ["cluster", "project"])
     def test_bad_gender_label_names_file_and_line(self, fixture_args, capsys, command):
         err = self._cluster_with_emotions_line(
             fixture_args, capsys, 2, lambda cells: [*cells[:2], "Female", *cells[3:]], command
         )
-        assert f"error in stage {command}: " in err
         assert "emotions.csv line 2: gender must be female/male/unknown, got 'Female'" in err
-        assert err.count("\n") == 1  # one error line, no traceback
+
+    @pytest.mark.parametrize(
+        "command, artifact, producer",
+        [
+            ("cluster", "emotions.csv", "score"),
+            ("project", "emotions.csv", "score"),
+            ("score", "corpus.json", "parse"),
+        ],
+    )
+    def test_non_utf8_artifact_names_file_and_line(self, fixture_args, capsys, command, artifact, producer):
+        args, out = fixture_args
+        for stage in ("parse", "score"):
+            assert run_cli(stage, *args) == 0, stage
+        path = out / artifact
+        lines = path.read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run_cli(command, *args) == 1
+        err = self._failed_after_warning(capsys, command, artifact, producer)
+        message = f"{artifact}: line 3: not valid UTF-8: invalid start byte (byte 0xff)"
+        assert err == f"error in stage {command}: {command}: {message}"
 
     def test_short_emotions_row_names_file_and_line(self, fixture_args, capsys):
         err = self._cluster_with_emotions_line(fixture_args, capsys, 3, lambda cells: cells[:20])
@@ -292,8 +339,12 @@ class TestErrors:
             (lambda rec: rec.pop("year"), "records[1] has no 'year'"),
             (lambda rec: rec.update(gender="Female"), "records[1]: gender must be female/male/unknown, got 'Female'"),
             (lambda rec: rec.update(dialogues="Hello."), "records[1]: 'dialogues' is a str, not a list"),
+            (
+                lambda rec: rec.update(name=rec["name"] + "\udc80"),
+                "records[1]: a string holds a lone surrogate, which UTF-8 cannot encode",
+            ),
         ],
-        ids=["no-year", "gender-label", "dialogues-string"],
+        ids=["no-year", "gender-label", "dialogues-string", "lone-surrogate"],
     )
     def test_malformed_corpus_record_names_file_and_record(self, fixture_args, capsys, mangle, message):
         args, out = fixture_args
@@ -304,9 +355,17 @@ class TestErrors:
         path.write_text(json.dumps(corpus), encoding="utf-8")
         capsys.readouterr()
         assert run_cli("score", *args) == 1
-        err = capsys.readouterr().err
-        assert f"error in stage score: score: corpus.json: {message}" in err
-        assert err.count("\n") == 1  # one error line, no traceback
+        err = self._failed_after_warning(capsys, "score", "corpus.json", "parse")
+        assert err == f"error in stage score: score: corpus.json: {message}"
+
+    def test_corpus_nested_too_deep_names_file(self, fixture_args, capsys):
+        args, out = fixture_args
+        assert run_cli("parse", *args) == 0
+        (out / "corpus.json").write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("score", *args) == 1
+        err = self._failed_after_warning(capsys, "score", "corpus.json", "parse")
+        assert err.startswith("error in stage score: score: corpus.json: maximum recursion depth exceeded")
 
     def test_duplicate_movie_stem_rejected(self, fixtures_dir, tmp_path, capsys):
         scripts = tmp_path / "scripts"
@@ -389,11 +448,7 @@ class TestConfigFile:
     def test_strict_false_in_config(self, fixtures_dir, fixture_args, tmp_path):
         args, out = fixture_args
         run_cli("parse", *args)
-        meta_copy = tmp_path / "metadata.csv"
-        meta_copy.write_text((fixtures_dir / "metadata.csv").read_text())
-        future = time.time() + 60
-        os.utime(meta_copy, (future, future))
-        args[args.index("--metadata") + 1] = meta_copy
+        args[args.index("--metadata") + 1] = changed_metadata(fixtures_dir, tmp_path)
         config = tmp_path / "run.conf"
         config.write_text("strict = false\n")
         assert run_cli("score", *args, "--config", config) == 0
@@ -408,29 +463,71 @@ class TestConfigFile:
 
 
 class TestStaleness:
-    def _touch_future(self, path):
-        future = time.time() + 60
-        os.utime(path, (future, future))
+    """manifest.json records what parse and score made their artifacts from;
+    a stage that reads one compares the record with the content and the
+    settings it is given now, not with mtimes."""
 
     def test_stale_warns_by_default(self, fixtures_dir, fixture_args, capsys, tmp_path):
         args, out = fixture_args
         run_cli("parse", *args)
-        # make the metadata newer than the parsed corpus
-        meta_copy = tmp_path / "metadata.csv"
-        meta_copy.write_text((fixtures_dir / "metadata.csv").read_text())
-        self._touch_future(meta_copy)
-        args = [("--metadata" if str(a).endswith("metadata.csv") else a) for a in args]
-        args[args.index("--metadata") + 1] = meta_copy
+        args[args.index("--metadata") + 1] = changed_metadata(fixtures_dir, tmp_path)
         capsys.readouterr()
         assert run_cli("score", *args) == 0
-        assert "older than" in capsys.readouterr().err
+        assert stale_warning("score", "corpus.json", "parse") in capsys.readouterr().err
 
     def test_stale_fails_with_strict(self, fixtures_dir, fixture_args, tmp_path, capsys):
         args, out = fixture_args
         run_cli("parse", *args)
-        meta_copy = tmp_path / "metadata.csv"
-        meta_copy.write_text((fixtures_dir / "metadata.csv").read_text())
-        self._touch_future(meta_copy)
-        args[args.index("--metadata") + 1] = meta_copy
+        args[args.index("--metadata") + 1] = changed_metadata(fixtures_dir, tmp_path)
         assert run_cli("score", *args, "--strict") == 1
-        assert "older than" in capsys.readouterr().err
+        assert "corpus.json was not made from the current inputs and settings; rerun parse" in capsys.readouterr().err
+
+    def test_changed_setting_fails_with_strict(self, fixture_args, capsys):
+        args, out = fixture_args
+        assert run_cli("parse", *args, "--min-dialogues", 5) == 0
+        capsys.readouterr()
+        assert run_cli("score", *args, "--min-dialogues", 1, "--strict") == 1
+        assert "corpus.json was not made from the current inputs and settings; rerun parse" in capsys.readouterr().err
+        assert not (out / "emotions.csv").exists()
+
+    def test_touched_unchanged_inputs_pass_strict(self, fixtures_dir, tmp_path, capsys):
+        inputs, args = copied_inputs(fixtures_dir, tmp_path)
+        assert run_cli("run-all", *args) == 0
+        future = time.time() + 60
+        for path in [inputs / "lexicon.tsv", inputs / "metadata.csv", *(inputs / "scripts").iterdir()]:
+            os.utime(path, (future, future))
+        capsys.readouterr()
+        for stage in ("cluster", "stats", "project"):
+            assert run_cli(stage, *args, "--strict") == 0, stage
+        assert "was not made" not in capsys.readouterr().err
+
+    def test_missing_record_warns(self, fixture_args, capsys):
+        args, out = fixture_args
+        assert run_cli("parse", *args) == 0
+        (out / "manifest.json").unlink()
+        capsys.readouterr()
+        assert run_cli("score", *args) == 0
+        # the fixture lexicon's multi-word entry is warned about after it
+        assert capsys.readouterr().err.splitlines()[0] == stale_warning("score", "corpus.json", "parse")
+        assert json.loads((out / "manifest.json").read_text()).keys() == {"score"}
+
+    def test_run_all_failed_partway_is_stale(self, fixtures_dir, tmp_path, capsys):
+        inputs, args = copied_inputs(fixtures_dir, tmp_path)
+        assert run_cli("run-all", *args) == 0
+        changed_metadata(fixtures_dir, inputs)  # overwrites the copy
+        # parse and score rewrite their artifacts, then cluster fails: 6 characters
+        assert run_cli("run-all", *args, "--k", 100) == 1
+        capsys.readouterr()
+        assert run_cli("cluster", *args, "--strict") == 1
+        assert "emotions.csv was not made from the current inputs and settings; rerun score" in capsys.readouterr().err
+        assert run_cli("stats", *args, "--strict") == 1
+        assert "corpus.json was not made from the current inputs and settings; rerun parse" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_hashlib_out():
+    # hashlib loads OpenSSL (several MB); only the fingerprint helper imports it
+    env = dict(os.environ)
+    src = str(Path(emocast.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = "import sys, emocast.cli; sys.exit('hashlib' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

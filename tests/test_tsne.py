@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import emocast.tsne
 from emocast.errors import NonFiniteError
 from emocast.tsne import (
     TsneConfig,
@@ -164,14 +165,15 @@ class TestTsne:
         emb = tsne(pts, TsneConfig(iterations=200, seed=2))
         assert all(value >= 0.0 for value in emb.kl_trace)
 
-    def test_diverging_descent_raises(self):
+    def test_diverging_descent_raises(self, monkeypatch):
         # A NaN objective compares as not uphill, so without the check the
         # run returned all-NaN coordinates and a NaN final KL.
         pts = np.random.default_rng(0).normal(size=(30, 8))
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="learning_rate"):
-            tsne(pts, TsneConfig(learning_rate=1e300, iterations=300))
+        monkeypatch.setattr(emocast.tsne, "LEARNING_RATE", 1e300)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="learning rate"):
+            tsne(pts, TsneConfig(iterations=300))
 
-    @pytest.mark.parametrize("field, value", [("iterations", 0), ("iterations", -1), ("exaggeration_iters", -1)])
+    @pytest.mark.parametrize("field, value", [("iterations", 0), ("iterations", -1)])
     def test_config_bounds_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TsneConfig(**{field: value})
@@ -215,7 +217,7 @@ class TestMatchesReferenceDescent:
         assert rejections > 0
 
     def test_exaggeration_covers_every_iteration(self):
-        config = TsneConfig(iterations=120, exaggeration_iters=200, seed=5)
+        config = TsneConfig(iterations=120, seed=5)  # inside the 250 exaggerated iterations
         emb, rejections = assert_same_descent(emotion_like(30, 5), config)
         assert rejections == 0
         assert len(emb.kl_trace) == 3  # iterations 50, 100 and the final 120
