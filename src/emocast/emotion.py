@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import LexiconError, read_utf8
+from .errors import LexiconError
 
 PRIMARY_EMOTIONS = (
     "anger",
@@ -156,10 +155,6 @@ def load_lexicon(text: str) -> EmotionLexicon:
         entries={word: frozenset(affects) for word, affects in entries.items()},
         skipped_phrases=skipped,
     )
-
-
-def load_lexicon_file(path: str | Path) -> EmotionLexicon:
-    return load_lexicon(read_utf8(path))
 
 
 def tokenize(dialogue: str) -> list[str]:

@@ -4,13 +4,13 @@ Each stage takes its inputs as arguments and writes its artifacts.
 ``run_pipeline`` hands each stage's results to the next in memory, so a
 run loads the lexicon once and tokenizes each dialogue once. The staged
 commands in ``STAGES`` load the same inputs from the artifacts of the
-earlier stages instead, warning unless manifest.json records each as made
-from the inputs ``PRODUCERS`` lists, so an expensive stage can be rerun on
-its own; both routes write the same bytes. Each record is
-built once, as a dict in column order; the stats, clustering and corpus
-kernels return theirs as the rows their artifacts hold. The CSVs are
-written from those dicts, report.json embeds them, and ``_write`` replaces
-every artifact in one step.
+earlier stages instead, warning unless manifest.json records each, and each
+artifact upstream of it, as made from the inputs ``PRODUCERS`` lists, so an
+expensive stage can be rerun on its own; both routes write the same bytes.
+Each record is built once, as a dict in column order; the stats, clustering
+and corpus kernels return theirs as the rows their artifacts hold. The CSVs
+are written from those dicts, report.json embeds them, and ``_write``
+replaces every artifact in one step.
 Artifact bytes are deterministic for a fixed config and inputs: rows are
 sorted, floats use their shortest repr, and every CSV uses "\\n" line
 endings. Only report.json carries a timestamp. cluster_cache.json keeps the
@@ -30,11 +30,11 @@ from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TextIO, TypeVar
 
 import numpy as np
 
-from . import __version__, clustering
+from . import __version__, clustering, emotion
 from .clustering import (
     best_kmeans,
     centroid_sse,
@@ -53,16 +53,8 @@ from .corpus import (
     corpus_to_json,
     ingest_metadata,
 )
-from .emotion import EMOTION_COLUMNS, EmotionLexicon, character_means, emotion_rows, load_lexicon_file
-from .errors import (
-    CurveError,
-    EmocastError,
-    InputEncodingError,
-    LexiconError,
-    MetadataError,
-    StaleInputError,
-    read_utf8,
-)
+from .emotion import EMOTION_COLUMNS, EmotionLexicon, character_means, emotion_rows
+from .errors import CurveError, EmocastError, InputEncodingError, StaleInputError, read_utf8
 from .lexical import default_nouns, default_stopwords, exclusive_nouns, text_pass
 from .screenplay import filter_min_dialogues, parse_script
 from .stats import emotion_test_battery, gender_distribution_over_time
@@ -77,6 +69,8 @@ WORD_FIELDS = ("word", "count")
 # The only CSV column named apart from its record key
 CLUSTERS_CSV_NAMES = {"kmeans": "kmeans_cluster", "ward": "ward_cluster"}
 CLUSTER_CACHE = "cluster_cache.json"
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -109,8 +103,10 @@ class RunConfig:
                 raise ValueError(f"k must be 'auto' or a positive integer, got {self.k!r}")
         elif self.k < 1:
             raise ValueError("k must be >= 1")
-        if self.perplexity <= 0:
-            raise ValueError("perplexity must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if not 0 < self.perplexity < math.inf:
+            raise ValueError("perplexity must be positive and finite")
         if self.bin_years < 1:
             raise ValueError("bin_years must be >= 1")
         if self.top_words < 1:
@@ -215,20 +211,6 @@ def _record(cfg: RunConfig, *producers: str) -> None:
     _write(cfg.output_dir / "manifest.json", json.dumps(records, indent=2, sort_keys=True) + "\n")
 
 
-def _made_by(cfg: RunConfig, producer: str, stage: str) -> Path:
-    """``producer``'s artifact for ``stage``; warns, or fails under strict, unless its record matches."""
-    files, config = PRODUCERS[producer](cfg)
-    artifact = files[-1]
-    if not artifact.is_file():
-        raise FileNotFoundError(f"{stage}: missing {artifact.name}; run {producer} first")
-    if _records(cfg).get(producer) != _fingerprint(files, config):
-        message = f"{stage}: {artifact.name} was not made from the current inputs and settings; rerun {producer}"
-        if cfg.strict:
-            raise StaleInputError(message)
-        print(f"warning: {message}", file=sys.stderr)
-    return artifact
-
-
 def _script_files(cfg: RunConfig) -> list[Path]:
     files = [
         p
@@ -240,24 +222,57 @@ def _script_files(cfg: RunConfig) -> list[Path]:
     return files
 
 
-def _load_corpus(cfg: RunConfig, stage: str) -> Corpus:
-    artifact = _made_by(cfg, "parse", stage)
+def _parsed(path: Path, parse: Callable[[TextIO], T], stage: str = "") -> T:
+    """``parse`` of ``path`` opened as UTF-8 text, line breaks as in read_utf8.
+    A failure becomes one error starting ``[<stage>: ]<file>: ``: a package
+    error keeps its type, a parser's other errors become ValueError, and a
+    byte that is not UTF-8 is named by its line."""
+    where = f"{stage}: {path.name}" if stage else path.name
     try:
-        return corpus_from_json(read_utf8(artifact))
-    except (InputEncodingError, ValueError, RecursionError) as exc:  # RecursionError: nesting too deep to decode
-        raise ValueError(f"{stage}: {artifact.name}: {exc}") from None
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return parse(fh)
+        except UnicodeDecodeError:
+            read_utf8(path)  # a stream cannot tell the line of a bad byte; this raises naming it
+            raise
+    except EmocastError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    except (ValueError, csv.Error, RecursionError) as exc:  # RecursionError: nesting too deep to decode
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _read_corpus(fh: TextIO) -> Corpus:
+    return corpus_from_json(fh.read())
+
+
+def _load(cfg: RunConfig, stage: str, producer: str, parse: Callable[[TextIO], T]) -> T:
+    """``producer``'s artifact, parsed for ``stage``. That producer and each
+    one upstream of it, nearest first, must have recorded in manifest.json
+    what it would make its artifact from now: a missing or different record
+    or a missing upstream artifact warns, or fails under strict. Only
+    ``producer``'s own artifact missing is an error whatever the mode."""
+    artifact = PRODUCERS[producer](cfg)[0][-1]
+    if not artifact.is_file():
+        raise FileNotFoundError(f"{stage}: missing {artifact.name}; run {producer} first")
+    records = _records(cfg)
+    names = list(PRODUCERS)
+    for name in names[names.index(producer) :: -1]:
+        files, config = PRODUCERS[name](cfg)
+        if not all(path.is_file() for path in files[:-1]):
+            continue  # an upstream artifact is missing, which the next check reports
+        if not (files[-1].is_file() and records.get(name) == _fingerprint(files, config)):
+            message = f"{stage}: {files[-1].name} was not made from the current inputs and settings; rerun {name}"
+            if cfg.strict:
+                raise StaleInputError(message)
+            print(f"warning: {message}", file=sys.stderr)
+    del files  # parse's entry lists every script; free them before the parse below peaks
+    return _parsed(artifact, parse, stage)
 
 
 def _load_lexicon(cfg: RunConfig) -> EmotionLexicon:
-    try:
-        lexicon = load_lexicon_file(cfg.lexicon_path)
-    except (InputEncodingError, LexiconError) as exc:
-        raise type(exc)(f"{cfg.lexicon_path.name}: {exc}") from exc
+    lexicon = _parsed(cfg.lexicon_path, lambda fh: emotion.load_lexicon(fh.read()))
     if lexicon.skipped_phrases:
-        print(
-            f"warning: skipped {lexicon.skipped_phrases} multi-word lexicon entries",
-            file=sys.stderr,
-        )
+        print(f"warning: skipped {lexicon.skipped_phrases} multi-word lexicon entries", file=sys.stderr)
     return lexicon
 
 
@@ -269,15 +284,9 @@ def stage_parse(cfg: RunConfig) -> Corpus:
         movie = path.stem
         if movie in dicts:
             raise ValueError(f"{path.name}: movie id {movie!r} already seen as {provenance[movie]}")
-        try:
-            dicts[movie] = filter_min_dialogues(parse_script(path), cfg.min_dialogues)
-        except (EmocastError, ValueError) as exc:
-            raise type(exc)(f"{path.name}: {exc}") from exc
+        dicts[movie] = filter_min_dialogues(_parsed(path, lambda fh: parse_script(path, fh.read())), cfg.min_dialogues)
         provenance[movie] = path.name
-    try:
-        meta = ingest_metadata(read_utf8(cfg.metadata_path))
-    except (InputEncodingError, MetadataError) as exc:
-        raise type(exc)(f"{cfg.metadata_path.name}: {exc}") from exc
+    meta = _parsed(cfg.metadata_path, lambda fh: ingest_metadata(fh.read()))
     corpus = assemble_corpus(dicts, meta, provenance)
 
     characters = {movie: dict(sorted(entries.items())) for movie, entries in sorted(dicts.items())}
@@ -326,37 +335,28 @@ def stage_score(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, np.ndar
     return table, rows, words
 
 
-def _load_characters(cfg: RunConfig, stage: str) -> CharacterTable:
-    artifact = _made_by(cfg, "score", stage)
+def _read_characters(fh: TextIO) -> CharacterTable:
+    """The table stage_score wrote to emotions.csv, read a row at a time."""
+    reader = csv.reader(fh)
+    if next(reader, None) != EMOTIONS_HEADER:
+        raise ValueError("line 1: expected the emotions.csv header")
     keys, vectors, no_affect = [], [], []
     try:
-        with artifact.open(encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != EMOTIONS_HEADER:
-                raise ValueError(f"{stage}: {artifact.name} does not have the emotions.csv columns")
-            for rec in reader:
-                if len(rec) != len(EMOTIONS_HEADER) or rec[-2] not in ("true", "false"):
-                    raise ValueError(
-                        f"{stage}: {artifact} line {reader.line_num}: expected "
-                        f"{len(EMOTIONS_HEADER)} fields with no_affect true or false"
-                    )
-                keys.append((rec[0], rec[1], rec[2]))
-                try:
-                    if rec[2] not in GENDER_LABELS:
-                        raise ValueError(f"gender must be female/male/unknown, got {rec[2]!r}")
-                    # float(repr(x)) == x, so these are the bits stage_score computed
-                    vectors.append([float(cell) for cell in rec[3:-2]])
-                    if not all(map(math.isfinite, vectors[-1])):
-                        raise ValueError("emotion values must be finite, not nan or inf")
-                except ValueError as exc:
-                    raise ValueError(f"{stage}: {artifact} line {reader.line_num}: {exc}") from None
-                no_affect.append(rec[-2] == "true")
+        for rec in reader:
+            if len(rec) != len(EMOTIONS_HEADER) or rec[-2] not in ("true", "false"):
+                raise ValueError(f"expected {len(EMOTIONS_HEADER)} fields with no_affect true or false")
+            if rec[2] not in GENDER_LABELS:
+                raise ValueError(f"gender must be female/male/unknown, got {rec[2]!r}")
+            # float(repr(x)) == x, so these are the bits stage_score computed
+            vectors.append([float(cell) for cell in rec[3:-2]])
+            if not all(map(math.isfinite, vectors[-1])):
+                raise ValueError("emotion values must be finite, not nan or inf")
+            keys.append((rec[0], rec[1], rec[2]))
+            no_affect.append(rec[-2] == "true")
     except UnicodeDecodeError:
-        try:
-            read_utf8(artifact)  # only on this path, to name the line: the read above streams
-        except InputEncodingError as exc:
-            raise InputEncodingError(f"{stage}: {artifact.name}: {exc}") from None
-        raise
+        raise  # _parsed names its line
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return CharacterTable(
         keys=keys,
         vectors=np.array(vectors).reshape(len(keys), len(EMOTION_COLUMNS)),
@@ -539,9 +539,9 @@ def stage_words(cfg: RunConfig, words: dict[str, Counter]) -> dict:
     return ranked
 
 
-# The stages whose artifact a later stage reads: the files and settings each
-# makes it from, then the artifact itself, so that a record matches only
-# outputs that its own run wrote.
+# The stages whose artifact a later stage reads, in pipeline order (each reads
+# the one before's): the files and settings each makes it from, then the
+# artifact itself, so that a record matches only outputs its own run wrote.
 PRODUCERS: dict[str, Callable[[RunConfig], tuple[list[Path], dict]]] = {
     "parse": lambda cfg: (
         [*_script_files(cfg), cfg.metadata_path, cfg.output_dir / "corpus.json"], {"min_dialogues": cfg.min_dialogues}
@@ -552,11 +552,13 @@ PRODUCERS: dict[str, Callable[[RunConfig], tuple[list[Path], dict]]] = {
 # Each staged command: its inputs loaded from the artifacts, the stage, then a producer's record.
 STAGES: dict[str, Callable[[RunConfig], object]] = {
     "parse": lambda cfg: (stage_parse(cfg), _record(cfg, "parse")),
-    "score": lambda cfg: (stage_score(cfg, _load_corpus(cfg, "score")), _record(cfg, "score")),
-    "stats": lambda cfg: stage_stats(cfg, (corpus := _load_corpus(cfg, "stats")), _score_text(cfg, corpus)[0]),
-    "cluster": lambda cfg: stage_cluster(cfg, _load_characters(cfg, "cluster")),
-    "project": lambda cfg: stage_project(cfg, _load_characters(cfg, "project")),
-    "words": lambda cfg: stage_words(cfg, _score_text(cfg, _load_corpus(cfg, "words"))[1]),
+    "score": lambda cfg: (stage_score(cfg, _load(cfg, "score", "parse", _read_corpus)), _record(cfg, "score")),
+    "stats": lambda cfg: stage_stats(
+        cfg, (corpus := _load(cfg, "stats", "parse", _read_corpus)), _score_text(cfg, corpus)[0]
+    ),
+    "cluster": lambda cfg: stage_cluster(cfg, _load(cfg, "cluster", "score", _read_characters)),
+    "project": lambda cfg: stage_project(cfg, _load(cfg, "project", "score", _read_characters)),
+    "words": lambda cfg: stage_words(cfg, _score_text(cfg, _load(cfg, "words", "parse", _read_corpus))[1]),
 }
 
 

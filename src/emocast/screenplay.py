@@ -224,13 +224,14 @@ def filter_min_dialogues(entries: CharacterDictionary, threshold: int = 5) -> Ch
     return {name: dialogues for name, dialogues in entries.items() if len(dialogues) >= threshold}
 
 
-def parse_script(path: str | Path) -> CharacterDictionary:
+def parse_script(path: str | Path, source: str | None = None) -> CharacterDictionary:
     """Parse one script file end to end into its character dictionary.
 
     A .jsonl or .json file holds positional blocks; any other file is text.
+    ``source`` is the file's text when the caller has read it already.
     """
     path = Path(path)
-    source = read_utf8(path)
+    source = read_utf8(path) if source is None else source
     if path.suffix.lower() in (".jsonl", ".json"):
         blocks = load_positional_blocks(source)
         tolerance = POSITIONAL_TOLERANCE

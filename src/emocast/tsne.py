@@ -48,8 +48,8 @@ class TsneConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.perplexity <= 0:
-            raise ValueError("perplexity must be positive")
+        if not 0 < self.perplexity < math.inf:
+            raise ValueError("perplexity must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
 

@@ -19,6 +19,7 @@ def fixtures_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def fixture_lexicon():
-    from emocast.emotion import load_lexicon_file
+    from emocast.emotion import load_lexicon
+    from emocast.errors import read_utf8
 
-    return load_lexicon_file(FIXTURES / "lexicon.tsv")
+    return load_lexicon(read_utf8(FIXTURES / "lexicon.tsv"))

@@ -288,7 +288,7 @@ class TestErrors:
         err = self._cluster_with_emotions_line(
             fixture_args, capsys, 4, lambda cells: [*cells[:5], "x", *cells[6:]]
         )
-        assert "emotions.csv line 4" in err
+        assert "emotions.csv: line 4" in err
         assert "could not convert string to float: 'x'" in err
 
     @pytest.mark.parametrize("cell", ["nan", "-inf"])
@@ -297,14 +297,22 @@ class TestErrors:
         err = self._cluster_with_emotions_line(
             fixture_args, capsys, 4, lambda cells: [*cells[:5], cell, *cells[6:]], command
         )
-        assert "emotions.csv line 4: emotion values must be finite" in err
+        assert "emotions.csv: line 4: emotion values must be finite" in err
 
     @pytest.mark.parametrize("command", ["cluster", "project"])
     def test_bad_gender_label_names_file_and_line(self, fixture_args, capsys, command):
         err = self._cluster_with_emotions_line(
             fixture_args, capsys, 2, lambda cells: [*cells[:2], "Female", *cells[3:]], command
         )
-        assert "emotions.csv line 2: gender must be female/male/unknown, got 'Female'" in err
+        assert "emotions.csv: line 2: gender must be female/male/unknown, got 'Female'" in err
+
+    def test_emotions_field_past_csv_limit_names_file_and_line(self, fixture_args, capsys):
+        err = self._cluster_with_emotions_line(fixture_args, capsys, 3, lambda cells: ["x" * 200_000, *cells[1:]])
+        assert err == "error in stage cluster: cluster: emotions.csv: line 3: field larger than field limit (131072)"
+
+    def test_emotions_header_names_file_and_line(self, fixture_args, capsys):
+        err = self._cluster_with_emotions_line(fixture_args, capsys, 1, lambda cells: ["film", *cells[1:]])
+        assert err == "error in stage cluster: cluster: emotions.csv: line 1: expected the emotions.csv header"
 
     @pytest.mark.parametrize(
         "command, artifact, producer",
@@ -328,9 +336,25 @@ class TestErrors:
         message = f"{artifact}: line 3: not valid UTF-8: invalid start byte (byte 0xff)"
         assert err == f"error in stage {command}: {command}: {message}"
 
+    def test_non_utf8_byte_past_the_first_read_names_its_line(self, fixture_args, capsys):
+        # emotions.csv is decoded as it streams; a bad byte deep in it is named by line too
+        args, out = fixture_args
+        for stage in ("parse", "score"):
+            assert run_cli(stage, *args) == 0, stage
+        path = out / "emotions.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines = [lines[0], *lines[1:-1] * 100, b""]  # 600 rows, far past one read
+        lines[400] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        capsys.readouterr()
+        assert run_cli("cluster", *args) == 1
+        err = self._failed_after_warning(capsys, "cluster", "emotions.csv", "score")
+        message = "emotions.csv: line 401: not valid UTF-8: invalid start byte (byte 0xff)"
+        assert err == f"error in stage cluster: cluster: {message}"
+
     def test_short_emotions_row_names_file_and_line(self, fixture_args, capsys):
         err = self._cluster_with_emotions_line(fixture_args, capsys, 3, lambda cells: cells[:20])
-        assert "emotions.csv line 3" in err
+        assert "emotions.csv: line 3" in err
         assert "expected 37 fields" in err
 
     @pytest.mark.parametrize(
@@ -455,6 +479,26 @@ class TestConfigFile:
         config.write_text("strict = yes\n")
         assert run_cli("score", *args, "--config", config) == 1
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--k", "0"),
+            ("--seed", "-1"),
+            ("--perplexity", "0"),
+            ("--perplexity", "nan"),
+            ("--perplexity", "inf"),
+            ("--min-dialogues", "-1"),
+            ("--bin-years", "0"),
+            ("--top-words", "0"),
+        ],
+    )
+    def test_bad_setting_rejected_before_any_stage(self, fixture_args, capsys, flag, value):
+        args, out = fixture_args
+        assert run_cli("run-all", *args, flag, value) == 2
+        setting = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.startswith(f"error: {setting} must be ")
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"
         config.write_text("mystery = 1\n")
@@ -521,6 +565,22 @@ class TestStaleness:
         assert run_cli("cluster", *args, "--strict") == 1
         assert "emotions.csv was not made from the current inputs and settings; rerun score" in capsys.readouterr().err
         assert run_cli("stats", *args, "--strict") == 1
+        assert "corpus.json was not made from the current inputs and settings; rerun parse" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["cluster", "project"])
+    @pytest.mark.parametrize("upstream", ["changed-metadata", "deleted-corpus"])
+    def test_stale_upstream_of_emotions(self, fixtures_dir, tmp_path, capsys, upstream, stage):
+        inputs, args = copied_inputs(fixtures_dir, tmp_path)
+        assert run_cli("run-all", *args) == 0
+        if upstream == "changed-metadata":
+            changed_metadata(fixtures_dir, inputs)  # overwrites the copy
+        else:
+            (tmp_path / "out" / "corpus.json").unlink()
+        capsys.readouterr()
+        # only parse is named: emotions.csv itself is still what score recorded
+        assert run_cli(stage, *args) == 0
+        assert capsys.readouterr().err.splitlines() == [stale_warning(stage, "corpus.json", "parse")]
+        assert run_cli(stage, *args, "--strict") == 1
         assert "corpus.json was not made from the current inputs and settings; rerun parse" in capsys.readouterr().err
 
 

@@ -179,6 +179,10 @@ class TestMatchesReferenceLoop:
         pts = np.random.default_rng(seed).normal(size=(30, 1))
         assert self.check(pts, k, seed) == 1
         assert kmeans(pts, k, seed).iterations == 4
+        # constant columns on either side move no distance and make no two rows equal
+        padded = np.hstack([np.zeros((30, 1)), pts, np.ones((30, 1))])
+        assert self.check(padded, k, seed) == 1
+        assert kmeans(padded, k, seed).iterations == 4
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fewer_distinct_rows_than_k_stop(self, seed):

@@ -173,7 +173,10 @@ class TestTsne:
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="learning rate"):
             tsne(pts, TsneConfig(iterations=300))
 
-    @pytest.mark.parametrize("field, value", [("iterations", 0), ("iterations", -1)])
+    @pytest.mark.parametrize(
+        "field, value",
+        [("iterations", 0), ("iterations", -1), ("perplexity", math.nan), ("perplexity", math.inf)],
+    )
     def test_config_bounds_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TsneConfig(**{field: value})
