@@ -30,9 +30,11 @@ further run, or per-row work counters.
   scale.
 
 The first three run on emotion-like points in [0, 1]^32: noisy copies of
-six random centres, seeded by n. The report also records the machine,
-including the BLAS library and its live thread count, which decide both
-the bits of BLAS products and how much CPU time they take.
+six random centres, seeded by n. The package is imported before numpy, so
+every kernel runs on the one BLAS thread the pipeline runs on. The report
+also records the machine, including the BLAS library and its live thread
+count, which decide both the bits of BLAS products and how much CPU time
+they take.
 
 Usage: PYTHONPATH=src python scripts/bench.py {kmeans,tsne,ward,text} [--out PATH] [--repeats N]
 
@@ -54,6 +56,8 @@ from dataclasses import dataclass
 from itertools import cycle, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, NamedTuple
+
+import emocast  # noqa: F401  # before numpy: it pins BLAS to the pipeline's one thread
 
 import numpy as np
 from scipy.cluster.hierarchy import fcluster, linkage

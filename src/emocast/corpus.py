@@ -66,54 +66,58 @@ def ingest_metadata(text: str) -> MetadataMap:
     Character names pass through the same normalization as parsed cues so
     the two sides join cleanly. Malformed rows, out-of-range years,
     duplicate (movie, character) pairs and rows whose year disagrees with
-    an earlier row of the same movie raise MetadataError with the offending
-    row number (header is row 1); a file the csv module cannot read raises
-    it with the line number.
+    an earlier row of the same movie raise MetadataError naming the line
+    the row starts on (a quoted field may span lines); a file the csv
+    module cannot read raises it with the line it stopped on.
     """
     reader = csv.reader(io.StringIO(text))
+    rows: list[tuple[int, list[str]]] = []  # (the line a row starts on, its fields)
+    start = 1
     try:
-        rows = list(reader)
+        for row in reader:
+            rows.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:  # e.g. a field over csv's size limit
         raise MetadataError(f"line {reader.line_num}: {exc}") from None
     if not rows:
         raise MetadataError("empty metadata file")
-    header = [cell.strip().lower() for cell in rows[0]]
+    header = [cell.strip().lower() for cell in rows[0][1]]
     if header != _HEADER:
-        raise MetadataError(f"row 1: expected header {','.join(_HEADER)!r}")
+        raise MetadataError(f"line 1: expected header {','.join(_HEADER)!r}")
     meta: MetadataMap = {}
-    movie_year: dict[str, tuple[int, int]] = {}  # movie -> (year, first row)
-    for rownum, row in enumerate(rows[1:], start=2):
+    movie_year: dict[str, tuple[int, int]] = {}  # movie -> (year, first line)
+    for lineno, row in rows[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 4:
-            raise MetadataError(f"row {rownum}: expected 4 fields, got {len(row)}")
+            raise MetadataError(f"line {lineno}: expected 4 fields, got {len(row)}")
         movie, character, gender_text, year_text = (cell.strip() for cell in row)
         if not movie:
-            raise MetadataError(f"row {rownum}: empty movie name")
+            raise MetadataError(f"line {lineno}: empty movie name")
         try:
             name = normalize_character_name(character)
         except Exception as exc:
-            raise MetadataError(f"row {rownum}: bad character name: {exc}") from exc
+            raise MetadataError(f"line {lineno}: bad character name: {exc}") from exc
         try:
             gender = Gender(gender_text.lower())
         except ValueError:
             raise MetadataError(
-                f"row {rownum}: gender must be female/male/unknown, got {gender_text!r}"
+                f"line {lineno}: gender must be female/male/unknown, got {gender_text!r}"
             ) from None
         try:
             year = int(year_text)
         except ValueError:
-            raise MetadataError(f"row {rownum}: year is not an integer: {year_text!r}") from None
+            raise MetadataError(f"line {lineno}: year is not an integer: {year_text!r}") from None
         if not YEAR_MIN <= year <= YEAR_MAX:
-            raise MetadataError(f"row {rownum}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
-        first_year, first_row = movie_year.setdefault(movie, (year, rownum))
+            raise MetadataError(f"line {lineno}: year {year} outside [{YEAR_MIN}, {YEAR_MAX}]")
+        first_year, first_line = movie_year.setdefault(movie, (year, lineno))
         if year != first_year:
             raise MetadataError(
-                f"row {rownum}: year {year} for {movie!r} disagrees with {first_year} on row {first_row}"
+                f"line {lineno}: year {year} for {movie!r} disagrees with {first_year} on line {first_line}"
             )
         key = (movie, name)
         if key in meta:
-            raise MetadataError(f"row {rownum}: duplicate entry for {movie!r} / {name!r}")
+            raise MetadataError(f"line {lineno}: duplicate entry for {movie!r} / {name!r}")
         meta[key] = (gender, year)
     return meta
 

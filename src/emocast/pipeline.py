@@ -140,7 +140,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
+            raise ValueError(f"{path}: line {lineno}: expected key = value")
         key, _, value = stripped.partition("=")
         value = value.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":

@@ -499,6 +499,12 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith(f"error: {setting} must be ")
         assert not out.exists()
 
+    def test_malformed_line_names_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_text("seed = 1\ngarbage\n")
+        assert run_cli("parse", "--config", config) == 2
+        assert f"{config}: line 2: expected key = value" in capsys.readouterr().err
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"
         config.write_text("mystery = 1\n")

@@ -23,7 +23,7 @@ class TestIngestMetadata:
 
     def test_duplicate_rejected(self):
         text = HEADER + "M,EVE,female,2000\nM,EVE,male,2000\n"
-        with pytest.raises(MetadataError, match="row 3"):
+        with pytest.raises(MetadataError, match="line 3"):
             ingest_metadata(text)
 
     def test_gender_case_insensitive(self):
@@ -31,29 +31,40 @@ class TestIngestMetadata:
         assert meta[("M", "EVE")][0] is Gender.FEMALE
 
     def test_bad_header(self):
-        with pytest.raises(MetadataError, match="row 1"):
+        with pytest.raises(MetadataError, match="line 1"):
             ingest_metadata("movie,name,gender,year\nM,EVE,female,2000\n")
 
     def test_bad_gender(self):
-        with pytest.raises(MetadataError, match="row 2"):
+        with pytest.raises(MetadataError, match="line 2"):
             ingest_metadata(HEADER + "M,EVE,woman,2000\n")
 
     def test_bad_year(self):
-        with pytest.raises(MetadataError, match="row 2"):
+        with pytest.raises(MetadataError, match="line 2"):
             ingest_metadata(HEADER + "M,EVE,female,soon\n")
 
     def test_year_out_of_range(self):
-        with pytest.raises(MetadataError, match="row 2"):
+        with pytest.raises(MetadataError, match="line 2"):
             ingest_metadata(HEADER + "M,EVE,female,1492\n")
 
     def test_short_row(self):
-        with pytest.raises(MetadataError, match="row 2"):
+        with pytest.raises(MetadataError, match="line 2"):
             ingest_metadata(HEADER + "M,EVE,female\n")
 
     def test_year_conflict_within_movie_rejected(self):
         text = HEADER + "M,EVE,female,2000\nN,ADA,female,1990\nM,ABE,male,2001\n"
-        with pytest.raises(MetadataError, match="row 4.*2001.*2000 on row 2"):
+        with pytest.raises(MetadataError, match="line 4.*2001.*2000 on line 2"):
             ingest_metadata(text)
+
+    def test_quoted_field_spanning_lines_names_the_line_a_row_starts_on(self):
+        # record 3 starts on line 4: the quoted name of record 2 spans lines 2-3
+        text = HEADER + 'M,"A\nB",male,2000\nM,C,male,1700\n'
+        with pytest.raises(MetadataError, match="^line 4: year 1700"):
+            ingest_metadata(text)
+        text = HEADER + 'M,"A\nB",male,2000\nN,C,male,1990\nM,D,male,2001\n'
+        with pytest.raises(MetadataError, match="^line 5: .*2000 on line 2$"):
+            ingest_metadata(text)
+        with pytest.raises(MetadataError, match="^line 2: year 1700"):
+            ingest_metadata(HEADER + 'M,"A\nB",male,1700\n')
 
     def test_character_names_normalized(self):
         meta = ingest_metadata(HEADER + "M,eve (v.o.),female,2000\n")
