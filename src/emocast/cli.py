@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands map one-to-one onto pipeline stages; ``run-all`` composes all
-of them. Options may come from a flat key=value config file (--config),
+Subcommands map onto pipeline stages (``score`` also writes the stats and
+word tables from its text pass); ``run-all`` composes all of them. Options may come from a flat key=value config file (--config),
 with command-line flags taking precedence.
 """
 

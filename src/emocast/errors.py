@@ -42,8 +42,8 @@ class DimensionError(EmocastError):
 
 
 class InvariantError(EmocastError):
-    """A clustering routine was called outside its contract, or an invariant
-    it maintains (monotone k-means SSE, a cut at k clusters) failed to hold."""
+    """An invariant a clustering routine maintains failed to hold: the
+    k-means SSE rose between two iterations."""
 
 
 class CurveError(EmocastError):

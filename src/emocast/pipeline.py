@@ -1,12 +1,13 @@
 """End-to-end analysis pipeline and its persisted artifacts.
 
 Each stage takes its inputs as arguments and writes its artifacts.
-``run_pipeline`` hands each stage's results to the next in memory, so a
-run loads the lexicon once and tokenizes each dialogue once. The staged
-commands in ``STAGES`` load the same inputs from the artifacts of the
-earlier stages instead, warning unless manifest.json records each, and each
-artifact upstream of it, as made from the inputs ``PRODUCERS`` lists, so an
-expensive stage can be rerun on its own; both routes write the same bytes.
+``run_pipeline`` hands each stage's results to the next in memory. So that
+an expensive stage can be rerun on its own, the staged commands in
+``STAGES`` (parse, score, cluster, project) read them from the earlier
+stages' artifacts, warning unless manifest.json records each, and each
+artifact upstream of it, as made from the inputs ``PRODUCERS`` lists.
+Either route loads the lexicon and tokenizes each dialogue once (staged
+score writes the stats and word tables too); both write the same bytes.
 Each record is built once, as a dict in column order; the stats, clustering
 and corpus kernels return theirs as the rows their artifacts hold. The CSVs
 are written from those dicts, report.json embeds them, and ``_write``
@@ -241,10 +242,6 @@ def _parsed(path: Path, parse: Callable[[TextIO], T], stage: str = "") -> T:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _read_corpus(fh: TextIO) -> Corpus:
-    return corpus_from_json(fh.read())
-
-
 def _load(cfg: RunConfig, stage: str, producer: str, parse: Callable[[TextIO], T]) -> T:
     """``producer``'s artifact, parsed for ``stage``. That producer and each
     one upstream of it, nearest first, must have recorded in manifest.json
@@ -303,19 +300,15 @@ def stage_parse(cfg: RunConfig) -> Corpus:
     return corpus
 
 
-def _score_text(cfg: RunConfig, corpus: Corpus) -> tuple[np.ndarray, dict[str, Counter]]:
-    """Emotion rows of every dialogue, in corpus order, and the group word counts."""
-    scored = text_pass(corpus, _load_lexicon(cfg), default_stopwords())
-    return emotion_rows(scored.counts), scored.words
-
-
 def stage_score(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, np.ndarray, dict[str, Counter]]:
     """Score the corpus text once; write per-character means to emotions.csv.
 
     Returns the character table, the dialogue emotion rows and the word
     counts, the inputs of the stats, cluster, project and words stages.
     """
-    rows, words = _score_text(cfg, corpus)
+    scored = text_pass(corpus, _load_lexicon(cfg), default_stopwords())
+    rows, words = emotion_rows(scored.counts), scored.words
+    del scored  # no stage reads the counts; free them before the means
     means, no_affect = character_means(rows, [len(rec.dialogues) for rec in corpus.records])
     table = CharacterTable(
         keys=[(rec.movie, rec.name, rec.gender.value) for rec in corpus.records],
@@ -427,6 +420,9 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
     n = len(kept)
     if n < 2:
         raise ValueError(f"cluster: need at least 2 characters with affect, have {n}")
+    auto = cfg.k == "auto"
+    if not auto and int(cfg.k) > n:
+        raise ValueError(f"cluster: k={int(cfg.k)} exceeds {n} characters")
 
     k_max = min(K_MAX_DEFAULT, n)
     cache_path = cfg.output_dir / CLUSTER_CACHE
@@ -442,7 +438,6 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
         pairs = ward_cluster(matrix)[0]
         changed = True
     curve = [(k, sweep[k][0]) for k in range(1, k_max + 1)]
-    auto = cfg.k == "auto"
     if auto:
         try:
             chosen_k = elbow_detect(curve)
@@ -450,8 +445,6 @@ def stage_cluster(cfg: RunConfig, characters: CharacterTable) -> dict:
             chosen_k = 1
     else:
         chosen_k = int(cfg.k)
-        if chosen_k > n:
-            raise ValueError(f"cluster: k={chosen_k} exceeds {n} characters")
 
     if chosen_k not in sweep:  # a fixed --k above k_max was not swept
         km = best_kmeans(matrix, chosen_k, cfg.seed)
@@ -549,16 +542,22 @@ PRODUCERS: dict[str, Callable[[RunConfig], tuple[list[Path], dict]]] = {
     "score": lambda cfg: ([cfg.output_dir / "corpus.json", cfg.lexicon_path, cfg.output_dir / "emotions.csv"], {}),
 }
 
-# Each staged command: its inputs loaded from the artifacts, the stage, then a producer's record.
+
+def _staged_score(cfg: RunConfig) -> None:
+    """The score stage, then the stats and words stages on its text pass, then its record."""
+    corpus = _load(cfg, "score", "parse", lambda fh: corpus_from_json(fh.read()))
+    _, rows, words = stage_score(cfg, corpus)
+    stage_stats(cfg, corpus, rows)
+    stage_words(cfg, words)
+    _record(cfg, "score")
+
+
+# Each staged command: its inputs loaded from the artifacts, its stages, then a producer's record.
 STAGES: dict[str, Callable[[RunConfig], object]] = {
     "parse": lambda cfg: (stage_parse(cfg), _record(cfg, "parse")),
-    "score": lambda cfg: (stage_score(cfg, _load(cfg, "score", "parse", _read_corpus)), _record(cfg, "score")),
-    "stats": lambda cfg: stage_stats(
-        cfg, (corpus := _load(cfg, "stats", "parse", _read_corpus)), _score_text(cfg, corpus)[0]
-    ),
+    "score": _staged_score,
     "cluster": lambda cfg: stage_cluster(cfg, _load(cfg, "cluster", "score", _read_characters)),
     "project": lambda cfg: stage_project(cfg, _load(cfg, "project", "score", _read_characters)),
-    "words": lambda cfg: stage_words(cfg, _score_text(cfg, _load(cfg, "words", "parse", _read_corpus))[1]),
 }
 
 

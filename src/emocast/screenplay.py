@@ -110,9 +110,9 @@ def load_positional_blocks(source: str) -> list[RawBlock]:
             text.encode("utf-8")  # rejects a lone surrogate escape such as "\udc80"
             left = int(obj["left"])
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"bad positional block on line {i + 1}: {exc}") from exc
+            raise ValueError(f"line {i + 1}: bad positional block: {exc}") from exc
         if left < 0:
-            raise ValueError(f"bad positional block on line {i + 1}: negative left offset")
+            raise ValueError(f"line {i + 1}: bad positional block: negative left offset")
         if text:
             blocks.append(RawBlock(text, left, i))
     return blocks

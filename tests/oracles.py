@@ -437,9 +437,9 @@ def load_positional_blocks_reference(source):
             text = str(obj["text"]).strip()
             left = int(obj["left"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad positional block on line {i + 1}: {exc}") from exc
+            raise ValueError(f"line {i + 1}: bad positional block: {exc}") from exc
         if left < 0:
-            raise ValueError(f"bad positional block on line {i + 1}: negative left offset")
+            raise ValueError(f"line {i + 1}: bad positional block: negative left offset")
         if not text:
             continue
         blocks.append(RawBlock(text=text, left=left, order=i))

@@ -159,7 +159,9 @@ def test_failed_replace_keeps_the_earlier_artifact(tmp_path, monkeypatch):
     assert run_fixture("score", tmp_path, "--min-dialogues", "1") == 1
     monkeypatch.undo()
     assert (tmp_path / "emotions.csv").read_bytes() == earlier
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["characters.json", "corpus.json", "emotions.csv", "manifest.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "characters.json", "corpus.json", "emotions.csv", "manifest.json", "stats.csv", "timebins.csv", "wordfreq.csv"
+    ]
 
 
 @pytest.mark.parametrize(

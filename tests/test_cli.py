@@ -111,7 +111,7 @@ class TestStagedRuns:
 
     def test_all_stages_compose(self, fixture_args):
         args, out = fixture_args
-        for stage in ("parse", "score", "stats", "cluster", "project", "words"):
+        for stage in ("parse", "score", "cluster", "project"):
             assert run_cli(stage, *args) == 0, stage
         staged = {name: (out / name).read_bytes() for name in os.listdir(out)}
         assert "cluster_cache.json" in staged
@@ -127,7 +127,10 @@ class TestStagedRuns:
 
 
 class TestRunAll:
-    def test_text_read_and_scored_once(self, fixture_args, monkeypatch):
+    @pytest.mark.parametrize(
+        "route", [("run-all",), ("parse", "score", "cluster", "project")], ids=["run-all", "staged"]
+    )
+    def test_text_read_and_scored_once(self, fixture_args, monkeypatch, route):
         calls = {"load_lexicon": 0, "tokenize": 0, "corpus_from_json": 0}
 
         def counted(module, name):
@@ -144,9 +147,20 @@ class TestRunAll:
         counted(emocast.corpus, "corpus_from_json")
         counted(emocast.pipeline, "corpus_from_json")
         args, out = fixture_args
-        assert run_cli("run-all", *args) == 0
-        dialogues = json.loads((out / "report.json").read_text())["summary"]["dialogues"]
-        assert calls == {"load_lexicon": 1, "tokenize": dialogues, "corpus_from_json": 0}
+        per_command = {}
+        for command in route:
+            before = dict(calls)
+            assert run_cli(command, *args) == 0, command
+            per_command[command] = {name: calls[name] - before[name] for name in calls}
+        dialogues = sum(len(rec["dialogues"]) for rec in json.loads((out / "corpus.json").read_text())["records"])
+        scored = {"load_lexicon": 1, "tokenize": dialogues}
+        none = dict.fromkeys(calls, 0)
+        if route == ("run-all",):
+            assert per_command == {"run-all": {**scored, "corpus_from_json": 0}}
+        else:  # only score reads corpus.json, and it scores for the stats and word tables too
+            assert per_command == {
+                "parse": none, "score": {**scored, "corpus_from_json": 1}, "cluster": none, "project": none
+            }
 
     def test_report_consistent_with_corpus(self, fixture_args):
         args, out = fixture_args
@@ -212,9 +226,11 @@ class TestErrors:
         assert run_cli("parse") == 2
         assert "--scripts" in capsys.readouterr().err
 
-    def test_unknown_subcommand_rejected(self):
-        with pytest.raises(SystemExit):
-            run_cli("explode")
+    @pytest.mark.parametrize("command", ["explode", "stats", "words"])
+    def test_unknown_subcommand_rejected(self, fixture_args, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, *fixture_args[0])
+        assert exc.value.code == 2
 
     def test_parse_error_names_script_file(self, fixtures_dir, tmp_path, capsys):
         scripts = tmp_path / "scripts"
@@ -230,6 +246,31 @@ class TestErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert "parse" in err and "flatfile.txt" in err
+
+    def test_bad_jsonl_record_names_file_and_line(self, fixtures_dir, tmp_path, capsys):
+        inputs, args = copied_inputs(fixtures_dir, tmp_path)
+        path = inputs / "scripts" / "glass_orchard.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace('"left": 396', '"left": "x"')
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run_cli("parse", *args) == 1
+        assert capsys.readouterr().err == (
+            "error in stage parse: glass_orchard.jsonl: line 3: bad positional block: "
+            "invalid literal for int() with base 10: 'x'\n"
+        )
+
+    def test_one_gender_corpus_fails_score_unrecorded(self, fixtures_dir, tmp_path, capsys):
+        # the U battery needs both groups; score writes emotions.csv, then fails before its record
+        inputs, args = copied_inputs(fixtures_dir, tmp_path)
+        metadata = inputs / "metadata.csv"
+        metadata.write_text(metadata.read_text().replace(",male,", ",female,"))
+        assert run_cli("parse", *args) == 0
+        capsys.readouterr()
+        assert run_cli("score", *args) == 1
+        assert "error in stage score: need at least one row in each of 'female' and 'male'" in capsys.readouterr().err
+        assert (tmp_path / "out" / "emotions.csv").is_file()
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text()).keys() == {"parse"}
+        assert run_cli("run-all", *args) == 1
 
     @pytest.mark.parametrize(
         "command, name",
@@ -449,7 +490,7 @@ class TestConfigFile:
 
         config = tmp_path / "run.conf"
         config.write_text("top_words = 2\n")
-        assert run_cli("words", *args, "--config", config) == 0
+        assert run_cli("score", *args, "--config", config) == 0
         with (out / "wordfreq.csv").open(newline="") as fh:
             assert max(int(row["rank"]) for row in csv.DictReader(fh)) == 2
 
@@ -547,7 +588,7 @@ class TestStaleness:
         for path in [inputs / "lexicon.tsv", inputs / "metadata.csv", *(inputs / "scripts").iterdir()]:
             os.utime(path, (future, future))
         capsys.readouterr()
-        for stage in ("cluster", "stats", "project"):
+        for stage in ("cluster", "score", "project"):
             assert run_cli(stage, *args, "--strict") == 0, stage
         assert "was not made" not in capsys.readouterr().err
 
@@ -570,7 +611,7 @@ class TestStaleness:
         capsys.readouterr()
         assert run_cli("cluster", *args, "--strict") == 1
         assert "emotions.csv was not made from the current inputs and settings; rerun score" in capsys.readouterr().err
-        assert run_cli("stats", *args, "--strict") == 1
+        assert run_cli("score", *args, "--strict") == 1
         assert "corpus.json was not made from the current inputs and settings; rerun parse" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", ["cluster", "project"])

@@ -5,6 +5,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -110,6 +111,14 @@ def test_hit_runs_no_kmeans_and_no_ward_merges(workdir, calls):
     assert calls == {"kmeans": 100, "ward_cluster": 1}
     assert (out / CLUSTER_CACHE).read_bytes() == cache
     assert (out / CLUSTER_CACHE).stat().st_mtime_ns == mtime  # a hit does not rewrite
+
+
+def test_fixed_k_above_the_characters_fails_before_clustering(workdir, calls, capsys):
+    out, run = workdir
+    assert run("cluster", "--k", "100") == 1
+    assert re.search(r"^error in stage cluster: cluster: k=100 exceeds \d+ characters$", capsys.readouterr().err, re.M)
+    assert calls == {"kmeans": 0, "ward_cluster": 0}
+    assert not (out / CLUSTER_CACHE).exists()
 
 
 def test_fixed_k_above_the_sweep_gets_its_own_entry(workdir, calls):

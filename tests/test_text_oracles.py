@@ -224,18 +224,18 @@ class TestPositionalRecordBreaks:
         assert [(b.text, b.left, b.order) for b in load_positional_blocks(source)] == [
             ("INT. HALL", 108, 0), ("HARRY", 396, 1), ("One\u2028two", 252, 2), ("Door opens.", 108, 3)
         ]
-        with pytest.raises(ValueError, match="line 3: Unterminated string"):
+        with pytest.raises(ValueError, match="line 3: bad positional block: Unterminated string"):
             oracles.load_positional_blocks_reference(source)
 
     @pytest.mark.parametrize("separator", OTHER_BREAKS)
     def test_other_separator_between_records_rejected(self, separator):
         source = '{"text": "A", "left": 1}' + separator + '{"text": "B", "left": 2}\n'
-        with pytest.raises(ValueError, match="line 1: Extra data"):
+        with pytest.raises(ValueError, match="line 1: bad positional block: Extra data"):
             load_positional_blocks(source)
 
     def test_line_numbers_count_crlf_and_cr_once(self):
         source = '{"text": "A", "left": 1}\r\n{"text": "B", "left": 2}\r\r\n{"text": "C"}\n'
-        with pytest.raises(ValueError, match="on line 4: 'left'"):
+        with pytest.raises(ValueError, match="^line 4: bad positional block: 'left'$"):
             load_positional_blocks(source)
 
 
