@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Subcommands map onto pipeline stages (``score`` also writes the stats and
-word tables from its text pass); ``run-all`` composes all of them. Options may come from a flat key=value config file (--config),
-with command-line flags taking precedence.
+word tables from its text pass); ``run-all`` composes all of them. Options
+may come from a flat key=value config file (--config), with command-line
+flags taking precedence.
 """
 
 from __future__ import annotations

@@ -4,10 +4,10 @@ A dialogue is scored against a word-affect lexicon (NRC word-level TSV
 format): every affect assignment of every matched token adds one to that
 primary's count. ``lexical.text_pass`` scores a whole corpus this way into
 an integer dialogue x 8 count matrix, tokenizing each dialogue once.
-``emotion_rows`` normalizes each count row to a distribution over the eight
-primaries and expands it to 32 dimensions through the 24 compound emotions
-(dyads) of the wheel, each scored as the arithmetic mean of its two
-constituents, e.g. envy is the mean of sadness and anger.
+``primary_shares`` normalizes each count row to a distribution over the
+eight primaries. ``emotion_values`` expands shares, where a value is read,
+to 32 dimensions through the wheel's 24 compound emotions (dyads), each the
+mean of its two constituents, e.g. envy is the mean of sadness and anger.
 
 Dialogues with no lexicon hit carry no affect evidence; they score as the
 all-zero row, and ``character_means`` leaves them out of per-character
@@ -169,35 +169,35 @@ _PAIRS = np.array(
 ).T
 
 
-def emotion_rows(counts: np.ndarray) -> np.ndarray:
-    """32-dim emotion rows, in EMOTION_COLUMNS order, from primary counts.
-
-    Each row of ``counts`` holds one dialogue's hits per primary, in
-    PRIMARY_EMOTIONS order. Primaries become fractions of the row total and
-    each dyad the mean of its two primaries; a row without hits stays zero.
-    """
-    primaries = counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
-    return (primaries[:, _PAIRS[0]] + primaries[:, _PAIRS[1]]) / 2
+def primary_shares(counts: np.ndarray) -> np.ndarray:
+    """Each row's primary hits as fractions of its total, n x 8; a row without hits stays zero."""
+    return counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
 
 
-def character_means(rows: np.ndarray, lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-character mean of its dialogues' emotion rows, and no-affect flags.
+def emotion_values(shares: np.ndarray, columns: int | slice = slice(None)) -> np.ndarray:
+    """EMOTION_COLUMNS ``columns`` of each row of ``shares``: a primary as it is, a dyad the mean of
+    its two primaries. C-ordered, so that an axis-0 sum adds the rows in order."""
+    return np.ascontiguousarray((shares[:, _PAIRS[0, columns]] + shares[:, _PAIRS[1, columns]]) / 2)
 
-    ``rows`` lists each character's dialogues consecutively and ``lengths``
+
+def character_means(shares: np.ndarray, lengths: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-character mean of its dialogues' emotion values, and no-affect flags.
+
+    ``shares`` lists each character's dialogues consecutively and ``lengths``
     says how many each has. Zero-hit dialogues would dilute the
     distribution with no evidence, so they are left out of the mean; a
     character whose every dialogue is zero-hit gets the zero row and the
-    no-affect flag. The axis-0 sum adds rows in order, so a mean has the
-    bits of a running sum of Python floats divided by the hit count.
+    no-affect flag. Each character's hit rows are expanded alone and summed
+    in order, so a mean has the bits of a running float sum over the hits.
     """
-    hit = rows.any(axis=1)
-    means = np.zeros((len(lengths), rows.shape[1]))
+    hit = shares.any(axis=1)
+    means = np.zeros((len(lengths), len(EMOTION_COLUMNS)))
     no_affect = np.ones(len(lengths), dtype=bool)
     start = 0
     for i, length in enumerate(lengths):
-        scored = rows[start : start + length][hit[start : start + length]]
+        scored = shares[start : start + length][hit[start : start + length]]
         start += length
         if len(scored):
-            means[i] = scored.sum(axis=0) / len(scored)
+            means[i] = emotion_values(scored).sum(axis=0) / len(scored)
             no_affect[i] = False
     return means, no_affect

@@ -54,7 +54,7 @@ from .corpus import (
     corpus_to_json,
     ingest_metadata,
 )
-from .emotion import EMOTION_COLUMNS, EmotionLexicon, character_means, emotion_rows
+from .emotion import EMOTION_COLUMNS, EmotionLexicon, character_means, primary_shares
 from .errors import CurveError, EmocastError, InputEncodingError, StaleInputError, read_utf8
 from .lexical import default_nouns, default_stopwords, exclusive_nouns, text_pass
 from .screenplay import filter_min_dialogues, parse_script
@@ -303,13 +303,12 @@ def stage_parse(cfg: RunConfig) -> Corpus:
 def stage_score(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, np.ndarray, dict[str, Counter]]:
     """Score the corpus text once; write per-character means to emotions.csv.
 
-    Returns the character table, the dialogue emotion rows and the word
-    counts, the inputs of the stats, cluster, project and words stages.
+    Returns the character table, each dialogue's primary shares and the
+    word counts, the inputs of the cluster, project, stats and words stages.
     """
     scored = text_pass(corpus, _load_lexicon(cfg), default_stopwords())
-    rows, words = emotion_rows(scored.counts), scored.words
-    del scored  # no stage reads the counts; free them before the means
-    means, no_affect = character_means(rows, [len(rec.dialogues) for rec in corpus.records])
+    shares = primary_shares(scored.counts)
+    means, no_affect = character_means(shares, [len(rec.dialogues) for rec in corpus.records])
     table = CharacterTable(
         keys=[(rec.movie, rec.name, rec.gender.value) for rec in corpus.records],
         vectors=means,
@@ -325,7 +324,7 @@ def stage_score(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, np.ndar
         ],
     )
     print(f"[score] {len(corpus.records)} characters scored, {int(no_affect.sum())} with no affect evidence")
-    return table, rows, words
+    return table, shares, scored.words
 
 
 def _read_characters(fh: TextIO) -> CharacterTable:
@@ -357,15 +356,14 @@ def _read_characters(fh: TextIO) -> CharacterTable:
     )
 
 
-def stage_stats(cfg: RunConfig, corpus: Corpus, rows: np.ndarray) -> tuple[list[dict], list[dict]]:
+def stage_stats(cfg: RunConfig, corpus: Corpus, shares: np.ndarray) -> tuple[list[dict], list[dict]]:
     """Dialogue-level U-test battery plus the release-year gender table.
 
-    ``rows`` holds the emotion row of every dialogue in corpus order; the
-    battery reads those of female and male characters.
+    ``shares`` holds the primary shares of every dialogue in corpus order;
+    the battery reads those of female and male characters.
     """
-    labels = np.array([rec.gender.value for rec in corpus.records for _ in rec.dialogues], dtype=str)
-    gendered = labels != Gender.UNKNOWN.value
-    tests = emotion_test_battery(rows[gendered], labels[gendered])
+    labels = [rec.gender.value for rec in corpus.records for _ in rec.dialogues]
+    tests = emotion_test_battery(shares, labels)
     # the battery has a row per emotion and found both groups, so neither table is empty
     _write_csv(cfg.output_dir / "stats.csv", list(tests[0]), (test.values() for test in tests))
     timebins = gender_distribution_over_time(corpus, cfg.bin_years)
@@ -543,39 +541,37 @@ PRODUCERS: dict[str, Callable[[RunConfig], tuple[list[Path], dict]]] = {
 }
 
 
-def _staged_score(cfg: RunConfig) -> None:
-    """The score stage, then the stats and words stages on its text pass, then its record."""
-    corpus = _load(cfg, "score", "parse", lambda fh: corpus_from_json(fh.read()))
-    _, rows, words = stage_score(cfg, corpus)
-    stage_stats(cfg, corpus, rows)
-    stage_words(cfg, words)
-    _record(cfg, "score")
+def _text_stages(cfg: RunConfig, corpus: Corpus) -> tuple[CharacterTable, list[dict], list[dict], dict]:
+    """The score, stats and words stages on one text pass; its shares and word counts die on return."""
+    characters, shares, words = stage_score(cfg, corpus)
+    tests, timebins = stage_stats(cfg, corpus, shares)
+    return characters, tests, timebins, stage_words(cfg, words)
 
 
 # Each staged command: its inputs loaded from the artifacts, its stages, then a producer's record.
 STAGES: dict[str, Callable[[RunConfig], object]] = {
     "parse": lambda cfg: (stage_parse(cfg), _record(cfg, "parse")),
-    "score": _staged_score,
+    "score": lambda cfg: (
+        _text_stages(cfg, _load(cfg, "score", "parse", lambda fh: corpus_from_json(fh.read()))), _record(cfg, "score")
+    ),
     "cluster": lambda cfg: stage_cluster(cfg, _load(cfg, "cluster", "score", _read_characters)),
     "project": lambda cfg: stage_project(cfg, _load(cfg, "project", "score", _read_characters)),
 }
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
-    """All six stages in order, each handed the last one's results, then
-    report.json tying the results together. Returns the report's dict."""
+    """Parse, score, stats, words, cluster and project in order, each handed the last
+    one's results, then report.json tying them together. Returns the report's dict."""
     cfg.validate()
     corpus = stage_parse(cfg)
-    characters, rows, word_counts = stage_score(cfg, corpus)
-    tests, timebins = stage_stats(cfg, corpus, rows)
-    del rows  # no later stage reads the dialogue rows; cluster and project can reuse their memory
+    characters, tests, timebins, words = _text_stages(cfg, corpus)
     report = {
         "summary": {"movies": len(corpus.provenance), **corpus.summary()},
         "tests": tests,
         "timebins": timebins,
         "clusters": stage_cluster(cfg, characters),
         "projection": stage_project(cfg, characters),
-        "words": stage_words(cfg, word_counts),
+        "words": words,
         "run": {
             "seed": cfg.seed,
             "min_dialogues": cfg.min_dialogues,

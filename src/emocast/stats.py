@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Corpus, Gender
-from .emotion import EMOTION_COLUMNS
+from .emotion import EMOTION_COLUMNS, PRIMARY_EMOTIONS, emotion_values
 from .errors import DegenerateError, NonFiniteError
 
 
@@ -124,23 +124,24 @@ def gender_distribution_over_time(corpus: Corpus, bin_width: int = 5) -> list[di
     return rows
 
 
-def emotion_test_battery(matrix: Sequence[Sequence[float]], labels: Sequence[str]) -> list[dict]:
+def emotion_test_battery(shares: Sequence[Sequence[float]], labels: Sequence[str]) -> list[dict]:
     """Run the female-vs-male U test per emotion column, sorted by ascending p-value.
 
-    Each row is a stats.csv row: the emotion, the U_FIELDS of its test and
-    higher_group, which is a group name, "tie" or "degenerate".
-    ``labels`` holds one group name per matrix row; rows outside the two
-    groups are ignored. A constant column raises DegenerateError internally
-    and is reported as a degenerate row, with its U_FIELDS None and sorted
-    last, without aborting the rest.
+    ``shares`` holds one row of primary shares per dialogue and ``labels``
+    its group name; rows outside the two groups are ignored. Each column is
+    built from the shares when it is tested. Each result is a stats.csv row:
+    the emotion, the U_FIELDS of its test and higher_group, which is a group
+    name, "tie" or "degenerate". A constant column raises DegenerateError
+    internally and is reported as a degenerate row, with its U_FIELDS None
+    and sorted last, without aborting the rest.
     """
     group_a, group_b = Gender.FEMALE.value, Gender.MALE.value
-    data = np.asarray(matrix, dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(EMOTION_COLUMNS):
-        raise ValueError(f"matrix must be n x {len(EMOTION_COLUMNS)}")
+    data = np.asarray(shares, dtype=float)
+    if data.ndim != 2 or data.shape[1] != len(PRIMARY_EMOTIONS):
+        raise ValueError(f"shares must be n x {len(PRIMARY_EMOTIONS)}")
     label_arr = np.asarray([str(lab) for lab in labels])
     if label_arr.shape[0] != data.shape[0]:
-        raise ValueError("labels and matrix rows must align")
+        raise ValueError("labels and shares rows must align")
     mask_a = label_arr == group_a
     mask_b = label_arr == group_b
     if not mask_a.any() or not mask_b.any():
@@ -148,8 +149,9 @@ def emotion_test_battery(matrix: Sequence[Sequence[float]], labels: Sequence[str
 
     rows = []
     for col, emotion in enumerate(EMOTION_COLUMNS):
+        values = emotion_values(data, col)
         try:
-            result = mann_whitney_u(data[mask_a, col], data[mask_b, col])
+            result = mann_whitney_u(values[mask_a], values[mask_b])
         except DegenerateError:
             rows.append({"emotion": emotion, **dict.fromkeys(U_FIELDS), "higher_group": "degenerate"})
             continue

@@ -16,7 +16,7 @@ import pytest
 from emocast.cli import main as cli_main
 from emocast.clustering import elbow_detect, kmeans, sse_curve, ward_cluster
 from emocast.corpus import CharacterRecord, Corpus, Gender
-from emocast.emotion import DYADS, EMOTION_COLUMNS, PRIMARY_EMOTIONS, emotion_rows
+from emocast.emotion import DYADS, EMOTION_COLUMNS, PRIMARY_EMOTIONS, emotion_values, primary_shares
 from emocast.lexical import text_pass
 from emocast.stats import mann_whitney_u
 from emocast.tsne import (
@@ -99,7 +99,7 @@ def test_03_emotion_embedding_fixture(fixture_lexicon):
             name="X", movie="m", year=2000, gender=Gender.FEMALE, dialogues=tuple(dialogues)
         )
         counts = text_pass(Corpus(records=[speaker], provenance={}), fixture_lexicon, set()).counts
-        rows = emotion_rows(counts)
+        rows = emotion_values(primary_shares(counts))
         assert rows.shape == (200, 32)
         col = {name: j for j, name in enumerate(EMOTION_COLUMNS)}
         primaries = rows[:, [col[name] for name in PRIMARY_EMOTIONS]]

@@ -12,8 +12,9 @@ from emocast.emotion import (
     EMOTION_COLUMNS,
     PRIMARY_EMOTIONS,
     character_means,
-    emotion_rows,
+    emotion_values,
     load_lexicon,
+    primary_shares,
     tokenize,
 )
 from emocast.errors import LexiconError
@@ -44,17 +45,22 @@ def counts_of(*dialogues, lexicon=TINY):
     return text_pass(Corpus(records=[record(*dialogues)], provenance={}), lexicon, set()).counts
 
 
+def shares_of(*dialogues, lexicon=TINY):
+    return primary_shares(counts_of(*dialogues, lexicon=lexicon))
+
+
 def rows_of(*dialogues, lexicon=TINY):
-    return emotion_rows(counts_of(*dialogues, lexicon=lexicon))
+    """The 32-dim emotion row of each dialogue."""
+    return emotion_values(shares_of(*dialogues, lexicon=lexicon))
 
 
 def expand(**counts):
     """The 32-dim row of one dialogue with the given primary counts."""
-    return emotion_rows(np.array([[counts.get(name, 0) for name in PRIMARY_EMOTIONS]]))[0]
+    return emotion_values(primary_shares(np.array([[counts.get(name, 0) for name in PRIMARY_EMOTIONS]])))[0]
 
 
 def mean_of(*dialogues, lexicon=TINY):
-    means, no_affect = character_means(rows_of(*dialogues, lexicon=lexicon), [len(dialogues)])
+    means, no_affect = character_means(shares_of(*dialogues, lexicon=lexicon), [len(dialogues)])
     return means[0], bool(no_affect[0])
 
 
@@ -218,8 +224,9 @@ class TestAggregateCharacter:
         assert mean[COL["joy"]] == 1.0
 
     def test_characters_split_by_lengths(self):
-        rows = rows_of("glad", "dread", "none", "glad", "none", "none")
-        means, no_affect = character_means(rows, [2, 1, 1, 2])
+        dialogues = ("glad", "dread", "none", "glad", "none", "none")
+        rows = rows_of(*dialogues)
+        means, no_affect = character_means(shares_of(*dialogues), [2, 1, 1, 2])
         assert np.array_equal(means[0], (rows[0] + rows[1]) / 2)
         assert no_affect.tolist() == [False, True, False, True]
         assert np.array_equal(means[2], rows[3])
@@ -250,14 +257,15 @@ def assert_matches_dict_path(corpus, lexicon):
     """Rows, means, flags and word counts equal the per-dialogue dict path's."""
     stopwords = default_stopwords()
     scored = text_pass(corpus, lexicon, stopwords)
-    rows = emotion_rows(scored.counts)
+    shares = primary_shares(scored.counts)
+    rows = emotion_values(shares)
     expected = [
         [dyad_expand_reference(score_dialogue_reference(d, lexicon)[0])[name] for name in EMOTION_COLUMNS]
         for rec in corpus.records
         for d in rec.dialogues
     ]
     assert np.array_equal(rows, np.array(expected).reshape(-1, len(EMOTION_COLUMNS)))
-    means, no_affect = character_means(rows, [len(rec.dialogues) for rec in corpus.records])
+    means, no_affect = character_means(shares, [len(rec.dialogues) for rec in corpus.records])
     for i, rec in enumerate(corpus.records):
         vector, flag = aggregate_character_reference(rec.dialogues, lexicon)
         assert means[i].tolist() == [vector[name] for name in EMOTION_COLUMNS], rec.name

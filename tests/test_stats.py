@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocast.corpus import CharacterRecord, Corpus, Gender
-from emocast.emotion import EMOTION_COLUMNS
+from emocast.emotion import EMOTION_COLUMNS, PRIMARY_EMOTIONS, character_means, primary_shares
 from emocast.errors import DegenerateError, NonFiniteError
 from emocast.stats import (
     emotion_test_battery,
@@ -187,20 +188,21 @@ class TestGenderDistribution:
         assert rows[0]["bin_start"] == 2015
 
 
-def _battery_matrix(rng, n_female=20, n_male=20, joy_gap=0.8):
+def _battery_shares(rng, n_female=20, n_male=20, joy_gap=0.8):
+    """Primary shares per dialogue with female joy shares above male ones."""
     n = n_female + n_male
-    matrix = rng.uniform(0.2, 0.4, size=(n, len(EMOTION_COLUMNS)))
-    joy_col = EMOTION_COLUMNS.index("joy")
-    matrix[:n_female, joy_col] = rng.uniform(joy_gap, 1.0, size=n_female)
-    matrix[n_female:, joy_col] = rng.uniform(0.0, 1.0 - joy_gap, size=n_male)
+    shares = rng.uniform(0.2, 0.4, size=(n, len(PRIMARY_EMOTIONS)))
+    joy_col = PRIMARY_EMOTIONS.index("joy")
+    shares[:n_female, joy_col] = rng.uniform(joy_gap, 1.0, size=n_female)
+    shares[n_female:, joy_col] = rng.uniform(0.0, 1.0 - joy_gap, size=n_male)
     labels = ["female"] * n_female + ["male"] * n_male
-    return matrix, labels
+    return shares, labels
 
 
 class TestEmotionTestBattery:
     def test_planted_joy_signal(self):
-        matrix, labels = _battery_matrix(np.random.default_rng(5))
-        rows = emotion_test_battery(matrix, labels)
+        shares, labels = _battery_shares(np.random.default_rng(5))
+        rows = emotion_test_battery(shares, labels)
         joy = next(row for row in rows if row["emotion"] == "joy")
         assert joy["p_value"] < 0.01
         assert joy["higher_group"] == "female"
@@ -208,24 +210,52 @@ class TestEmotionTestBattery:
 
     def test_identical_groups_near_one(self):
         rng = np.random.default_rng(9)
-        half = rng.uniform(size=(15, len(EMOTION_COLUMNS)))
-        matrix = np.vstack([half, half])
+        half = rng.uniform(size=(15, len(PRIMARY_EMOTIONS)))
+        shares = np.vstack([half, half])
         labels = ["female"] * 15 + ["male"] * 15
-        for row in emotion_test_battery(matrix, labels):
+        for row in emotion_test_battery(shares, labels):
             assert row["p_value"] > 0.9
 
     def test_constant_column_isolated(self):
-        matrix, labels = _battery_matrix(np.random.default_rng(5))
-        envy_col = EMOTION_COLUMNS.index("envy")
-        matrix[:, envy_col] = 0.25
-        rows = emotion_test_battery(matrix, labels)
-        envy = next(row for row in rows if row["emotion"] == "envy")
-        assert [envy[key] for key in ("u1", "u2", "z", "p_value")] == [None] * 4
-        assert envy["higher_group"] == "degenerate"
+        # anger's dyads mix in a varying share, so anger is the one constant column
+        shares, labels = _battery_shares(np.random.default_rng(5))
+        shares[:, PRIMARY_EMOTIONS.index("anger")] = 0.25
+        rows = emotion_test_battery(shares, labels)
+        anger = next(row for row in rows if row["emotion"] == "anger")
+        assert [anger[key] for key in ("u1", "u2", "z", "p_value")] == [None] * 4
+        assert anger["higher_group"] == "degenerate"
         assert sum(row["p_value"] is not None for row in rows) == 31
-        assert rows[-1]["emotion"] == "envy"  # degenerate rows sort last
+        assert rows[-1]["emotion"] == "anger"  # degenerate rows sort last
 
     def test_row_per_emotion(self):
-        matrix, labels = _battery_matrix(np.random.default_rng(2))
-        rows = emotion_test_battery(matrix, labels)
+        shares, labels = _battery_shares(np.random.default_rng(2))
+        rows = emotion_test_battery(shares, labels)
         assert sorted(row["emotion"] for row in rows) == sorted(EMOTION_COLUMNS)
+
+    def test_rows_outside_both_groups_ignored(self):
+        shares, labels = _battery_shares(np.random.default_rng(5))
+        expected = emotion_test_battery(shares, labels)
+        padded = np.vstack([shares, np.full((7, len(PRIMARY_EMOTIONS)), 9.0)])
+        assert emotion_test_battery(padded, labels + ["unknown"] * 7) == expected
+
+    def test_needs_eight_share_columns(self):
+        with pytest.raises(ValueError, match="n x 8"):
+            emotion_test_battery(np.zeros((2, len(EMOTION_COLUMNS))), ["female", "male"])
+
+
+def test_dialogue_work_stays_below_one_32_column_array():
+    """Means and battery over 20,000 dialogues never hold a dialogue x 32 array."""
+    rng = np.random.default_rng(11)
+    n = 20_000
+    counts = rng.integers(0, 4, size=(n, len(PRIMARY_EMOTIONS)))
+    lengths = [100] * (n // 100)
+    labels = ["female", "male", "unknown"] * (n // 3) + ["female"] * (n % 3)
+    tracemalloc.start()
+    try:
+        shares = primary_shares(counts)
+        character_means(shares, lengths)
+        emotion_test_battery(shares, labels)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * len(EMOTION_COLUMNS) * 8
