@@ -13,20 +13,20 @@ bound on the distance to its own centre and a lower bound on the distance
 to every other centre. After a centre update the upper bound grows by the
 own centre's movement and the lower bound shrinks by the largest movement.
 A point is certified, and skipped, while ``upper * (1 + 1e-9) < lower``.
-Otherwise its own distance is recomputed and, if the test still fails,
-its distances to all centres. A computed distance or movement is off by
-a relative ``(d + 2) * 2**-53`` at most, and each bound update adds about
-one more ulp; each movement is also inflated by ``1 + 1e-9`` before it
-enters the bounds. While d and the iteration count stay far below 1e6,
-the margin covers all of it, so rounding can never certify a point whose
-``argmin``, ties to the lowest index, would pick another centre. Distances
-are computed one centre at a time with ``einsum("nd,nd->n")``, which gives
-the same bits as an n x k x d difference tensor without holding it. Centres
-are the sums of contiguous slices of the rows sorted stably by cluster,
-divided by the counts: the same ``mean(axis=0)`` over the same rows in the
-same order. After ``_repair_empty`` moves a centre the bounds are reset.
-The scratch buffers (two n x d, one k x n, the bounds) are allocated once
-per call.
+Otherwise its distances to all centres are computed, and its bounds become
+its exact nearest and second-nearest distances. A computed distance or
+movement is off by a relative ``(d + 2) * 2**-53`` at most, and each bound
+update adds about one more ulp; each movement is also inflated by
+``1 + 1e-9`` before it enters the bounds. While d and the iteration count
+stay far below 1e6, the margin covers all of it, so rounding can never
+certify a point whose ``argmin``, ties to the lowest index, would pick
+another centre. Distances are computed one centre at a time with
+``einsum("nd,nd->n")``, which gives the same bits as an n x k x d
+difference tensor without holding it. Centres are the sums of contiguous
+slices of the rows sorted stably by cluster, divided by the counts: the
+same ``mean(axis=0)`` over the same rows in the same order. After
+``_repair_empty`` moves a centre the bounds are reset. The scratch buffers
+(two n x d, one k x n, the bounds) are allocated once per call.
 """
 
 from __future__ import annotations
@@ -111,31 +111,21 @@ def _nearest_centres(
     upper: np.ndarray,
     lower: np.ndarray,
     scratch: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[int, int]:
+) -> int:
     """Point ``assign`` at each row's nearest centre, ties to the lowest index.
 
-    Rows whose bounds certify their centre are skipped. The rest get their
-    own distance refreshed into ``upper``, and those still uncertified get
-    all k squared distances, after which ``upper`` and ``lower`` hold their
+    Rows whose bounds certify their centre are skipped. The rest get all k
+    squared distances, after which ``upper`` and ``lower`` hold their
     nearest and second-nearest distances. ``scratch`` is (rows, diff, d2)
-    of shapes n x d, n x d and k x n. Returns the number of rows refreshed
-    and of rows measured against every centre.
+    of shapes n x d, n x d and k x n. Returns the number of rows measured.
     """
     rows, diff, d2 = scratch
     n, k = X.shape[0], centers.shape[0]
     # a NaN bound fails the comparison, so it is never trusted
     stale = np.flatnonzero(~(upper * (1.0 + _BOUND_MARGIN) < lower))
-    refreshed = stale.size
-    if refreshed == 0:
-        return 0, 0
-    own = diff[:refreshed]
-    np.take(centers, assign[stale], axis=0, out=own)
-    np.subtract(np.take(X, stale, axis=0, out=rows[:refreshed]), own, out=own)
-    upper[stale] = np.sqrt(np.einsum("nd,nd->n", own, own))
-    stale = np.flatnonzero(~(upper * (1.0 + _BOUND_MARGIN) < lower))
     m = stale.size
     if m == 0:
-        return refreshed, 0
+        return 0
     pts = X if m == n else np.take(X, stale, axis=0, out=rows[:m])
     block = d2[:, :m]
     for j in range(k):
@@ -147,7 +137,7 @@ def _nearest_centres(
     upper[stale] = np.sqrt(block[nearest, cols])
     block[nearest, cols] = np.inf
     lower[stale] = np.sqrt(block.min(axis=0))
-    return refreshed, m
+    return m
 
 
 def _centroids(
@@ -210,7 +200,7 @@ def kmeans(
             counts = np.bincount(assign, minlength=k)
             upper.fill(np.inf)  # a centre jumped and a point changed cluster
             lower.fill(0.0)
-            ordered = X[np.lexsort(X.T)]  # equal rows side by side; a first np.unique keeps ~0.5 MB of heap
+            ordered = X[np.lexsort(X.T)]  # equal rows side by side; numpy's unique keeps ~0.5 MB of heap on first use
             too_few_rows = 1 + int((ordered[1:] != ordered[:-1]).any(axis=1).sum()) < k  # then no repair can hold
         if iterations > 1 and np.array_equal(assign, prev_assign):
             break

@@ -286,11 +286,7 @@ def stage_parse(cfg: RunConfig) -> Corpus:
     meta = _parsed(cfg.metadata_path, lambda fh: ingest_metadata(fh.read()))
     corpus = assemble_corpus(dicts, meta, provenance)
 
-    characters = {movie: dict(sorted(entries.items())) for movie, entries in sorted(dicts.items())}
-    _write(
-        cfg.output_dir / "characters.json",
-        json.dumps(characters, indent=2, sort_keys=True, ensure_ascii=True) + "\n",
-    )
+    _write(cfg.output_dir / "characters.json", json.dumps(dicts, indent=2, sort_keys=True, ensure_ascii=True) + "\n")
     _write(cfg.output_dir / "corpus.json", corpus_to_json(corpus))
     s = corpus.summary()
     print(

@@ -44,8 +44,9 @@ def _as_finite_array(values: Sequence[float], what: str) -> np.ndarray:
     return arr
 
 
-def rank_with_ties(values: Sequence[float]) -> np.ndarray:
-    """Ranks 1..n with tied values sharing the mean of the ranks they span."""
+def rank_with_ties(values: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Ranks 1..n with tied values sharing the mean of the ranks they span,
+    and the length of each run of equal values in ascending value order."""
     arr = _as_finite_array(values, "rank_with_ties")
     n = arr.size
     order = np.argsort(arr, kind="stable")
@@ -53,30 +54,31 @@ def rank_with_ties(values: Sequence[float]) -> np.ndarray:
     starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
     ends = np.r_[starts[1:], n]
     mean_ranks = (starts + 1 + ends) / 2.0
+    run_lengths = ends - starts
     ranks = np.empty(n, dtype=float)
-    ranks[order] = np.repeat(mean_ranks, ends - starts)
-    return ranks
+    ranks[order] = np.repeat(mean_ranks, run_lengths)
+    return ranks, run_lengths
 
 
 def mann_whitney_u(group_a: Sequence[float], group_b: Sequence[float]) -> UTestResult:
     """Two-sided Mann-Whitney U via joint ranking.
 
     u1 is the number of (a, b) pairs where a wins, counting ties as half;
-    u2 is its complement, so u1 + u2 = n1 * n2 exactly. Raises
-    DegenerateError when every pooled value is identical (zero variance).
+    u2 is its complement, so u1 + u2 = n1 * n2 exactly. The tie correction
+    of the variance counts each run of equal pooled values from the same
+    sort that ranks them. Raises DegenerateError when every pooled value is
+    identical (one run, zero variance).
     """
     a = _as_finite_array(group_a, "mann_whitney_u group_a")
     b = _as_finite_array(group_b, "mann_whitney_u group_b")
     n1, n2 = a.size, b.size
-    pooled = np.concatenate([a, b])
-    ranks = rank_with_ties(pooled)
+    ranks, tie_counts = rank_with_ties(np.concatenate([a, b]))
     r1 = float(ranks[:n1].sum())
     u1 = r1 - n1 * (n1 + 1) / 2.0
     u2 = n1 * n2 - u1
 
-    if np.all(pooled == pooled[0]):
+    if tie_counts.size == 1:
         raise DegenerateError("all pooled values identical")
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float((tie_counts.astype(float) ** 3 - tie_counts).sum())
     n = n1 + n2
     sigma_sq = n1 * n2 / 12.0 * ((n + 1) - tie_term / (n * (n - 1)))

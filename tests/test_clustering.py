@@ -238,9 +238,27 @@ class TestBounds:
         assign = np.array([0, 1])
         upper = np.array([0.5, 0.5])
         lower = np.array([9.0, 9.0])
-        counts = _nearest_centres(x, centers, assign, upper, lower, self.scratch(2, 2, 2))
-        assert counts == (0, 0)
+        measured = _nearest_centres(x, centers, assign, upper, lower, self.scratch(2, 2, 2))
+        assert measured == 0
         assert assign.tolist() == [0, 1]
+
+    def test_stale_row_is_measured_with_exact_bounds(self):
+        # The row's upper bound is stale, but its true own distance (1) is
+        # below its lower bound (2), so refreshing the own distance alone
+        # would certify it. It is measured against every centre instead,
+        # and its bounds become the exact nearest and second-nearest
+        # distances.
+        x = np.array([[0.0, 0.0]])
+        centers = np.array([[1.0, 0.0], [0.0, 3.0], [0.0, -4.0]])
+        assign = np.array([0])
+        upper = np.array([5.0])
+        lower = np.array([2.0])
+        measured = _nearest_centres(x, centers, assign, upper, lower, self.scratch(1, 3, 2))
+        assert measured == 1
+        assert assign.tolist() == [0]
+        d2 = ((x[0] - centers) ** 2).sum(axis=1)
+        assert upper[0] == math.sqrt(np.sort(d2)[0])
+        assert lower[0] == math.sqrt(np.sort(d2)[1])
 
     def test_sweep_measures_few_rows_against_every_centre(self, monkeypatch):
         pts = planted_clusters(np.random.default_rng(3), 1000, centers=4)
@@ -248,9 +266,9 @@ class TestBounds:
 
         def counted(*args):
             nonlocal full
-            refreshed, measured = _nearest_centres(*args)
+            measured = _nearest_centres(*args)
             full += measured
-            return refreshed, measured
+            return measured
 
         monkeypatch.setattr(emocast.clustering, "_nearest_centres", counted)
         iterations = sum(kmeans(pts, k, seed=k).iterations for k in range(2, 11))

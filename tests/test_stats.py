@@ -32,13 +32,13 @@ groups = st.lists(
 
 class TestRankWithTies:
     def test_distinct(self):
-        assert list(rank_with_ties([10, 20, 30])) == [1, 2, 3]
+        assert list(rank_with_ties([10, 20, 30])[0]) == [1, 2, 3]
 
     def test_full_tie(self):
-        assert list(rank_with_ties([5, 5])) == [1.5, 1.5]
+        assert list(rank_with_ties([5, 5])[0]) == [1.5, 1.5]
 
     def test_partial_tie(self):
-        assert list(rank_with_ties([7, 3, 7])) == [2.5, 1, 2.5]
+        assert list(rank_with_ties([7, 3, 7])[0]) == [2.5, 1, 2.5]
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteError):
@@ -47,7 +47,13 @@ class TestRankWithTies:
     @given(groups)
     def test_ranks_sum_to_triangular_number(self, values):
         n = len(values)
-        assert math.isclose(rank_with_ties(values).sum(), n * (n + 1) / 2)
+        assert math.isclose(rank_with_ties(values)[0].sum(), n * (n + 1) / 2)
+
+    @given(groups, groups)
+    def test_run_lengths_are_tie_counts(self, a, b):
+        pooled = np.array(a + b)
+        _, run_lengths = rank_with_ties(pooled)
+        assert run_lengths.tolist() == np.unique(pooled, return_counts=True)[1].tolist()
 
 
 class TestMannWhitneyU:
