@@ -13,12 +13,12 @@ it, with the step scale halved and then slowly recovered; that keeps the
 recorded KL trace monotone instead of merely usually-descending.
 
 The descent builds the n x n Student-t kernel once per new position, as
-``(num, num.sum())``, and both the gradient and the objective at that
-position read it: an accepted candidate's kernel, built to test the step,
-is the next gradient's kernel, and a rejected candidate leaves the current
-kernel in place. Kernels, the Gram product and the gradient weights live in
-three n x n buffers allocated once per run, so an iteration allocates no
-n x n temporaries beyond the masked copy the objective sums.
+``(num, num.sum())``, when the step to it is taken; the gradient and the
+objective at that position read it, and a rejected candidate leaves the
+current kernel in place. Besides P and its support mask, the descent holds
+three n x n buffers allocated once per run: two kernels and a scratch array
+for the Gram product, the gradient weights and the KL terms. An iteration
+allocates no n x n temporary beyond the gather of the KL terms on P's support.
 """
 
 from __future__ import annotations
@@ -143,15 +143,17 @@ def _student_t_kernel(
     return num, float(num.sum())
 
 
-def _kl(P_nz: np.ndarray, mask: np.ndarray, num: np.ndarray, total: float) -> float:
-    """KL(P || Q) over the support ``mask`` of P, given ``P_nz = P[mask]``."""
-    terms = num[mask]
-    terms /= total
+def _kl(P: np.ndarray, mask: np.ndarray, num: np.ndarray, total: float, out: np.ndarray) -> float:
+    """KL(P || Q) over the support ``mask`` of P, summed in ``P[mask]`` order.
+
+    ``out`` holds the terms; off the support they stay zero and no log is taken.
+    """
+    terms = np.divide(num, total, out=out)
     np.maximum(terms, _EPS, out=terms)
-    np.divide(P_nz, terms, out=terms)
-    np.log(terms, out=terms)
-    terms *= P_nz
-    return float(terms.sum())
+    np.divide(P, terms, out=terms)
+    np.log(terms, out=terms, where=mask)
+    terms *= P
+    return float(terms[mask].sum())
 
 
 def _gradient(
@@ -178,8 +180,9 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
 
     The requested perplexity is clamped to (n - 1) / 3 when the input is
     small. KL against the true (unexaggerated) P is recorded every 50
-    iterations and at the final one. Raises NonFiniteError if the
-    embedding stops being finite (a learning rate far too large).
+    iterations and at the final one. Raises NonFiniteError, naming the
+    iteration whose step left the embedding non-finite, when one does (a
+    learning rate far too large).
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2:
@@ -193,12 +196,11 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
     perplexity = min(config.perplexity, (n - 1) / 3.0)
     P = joint_probabilities(X, perplexity)
     mask = P > 0
-    P_nz = P[mask]
-    P_exaggerated = P * EARLY_EXAGGERATION
 
-    # buffers[0] holds the kernel of Y, buffers[1] the candidate's; an
-    # accepted step swaps them. gram holds the Gram product while a kernel
-    # is built and the gradient weights while the gradient is.
+    # buffers[0] holds the kernel of Y, buffers[1] the candidate's, and the
+    # exaggerated P until that kernel is built; an accepted step swaps them.
+    # gram holds the Gram product while a kernel is built, the gradient
+    # weights while the gradient is, and the terms while the KL is summed.
     buffers = [np.empty((n, n)), np.empty((n, n))]
     gram = np.empty((n, n))
 
@@ -213,7 +215,7 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
 
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
-    Y_kernel: tuple[np.ndarray, float] | None = None
+    Y_kernel = kernel(Y, buffers[0], 0)
     velocity = np.zeros_like(Y)
     gains = np.ones_like(Y)
     step_scale = 1.0
@@ -222,9 +224,8 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
 
     for iteration in range(1, config.iterations + 1):
         exaggerate = iteration <= EXAGGERATION_ITERS
-        if Y_kernel is None:
-            Y_kernel = kernel(Y, buffers[0], iteration)
-        grad = _gradient(P_exaggerated if exaggerate else P, Y, *Y_kernel, out=gram)
+        P_eff = np.multiply(P, EARLY_EXAGGERATION, out=buffers[1]) if exaggerate else P
+        grad = _gradient(P_eff, Y, *Y_kernel, out=gram)
 
         momentum = 0.5 if iteration <= MOMENTUM_SWITCH_ITER else 0.8
         same_direction = np.sign(grad) == np.sign(velocity)
@@ -233,14 +234,15 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
         velocity = momentum * velocity - LEARNING_RATE * step_scale * gains * grad
         candidate = Y + velocity
         candidate -= candidate.mean(axis=0)
+        candidate_kernel = kernel(candidate, buffers[1], iteration)
 
         if exaggerate:
-            Y, Y_kernel = candidate, None
+            Y, Y_kernel = candidate, candidate_kernel
+            buffers.reverse()
         else:
             if current_kl is None:
-                current_kl = _kl(P_nz, mask, *Y_kernel)
-            candidate_kernel = kernel(candidate, buffers[1], iteration)
-            candidate_kl = _kl(P_nz, mask, *candidate_kernel)
+                current_kl = _kl(P, mask, *Y_kernel, gram)
+            candidate_kl = _kl(P, mask, *candidate_kernel, gram)
             if candidate_kl > current_kl:  # reject the uphill step
                 velocity[:] = 0.0
                 gains[:] = 1.0
@@ -252,11 +254,7 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
                 step_scale = min(step_scale * 1.05, 1.0)
 
         if iteration % KL_RECORD_EVERY == 0 or iteration == config.iterations:
-            if current_kl is None:  # still exaggerating: Y has no kernel yet
-                Y_kernel = kernel(Y, buffers[0], iteration)
-                trace.append(_kl(P_nz, mask, *Y_kernel))
-            else:
-                trace.append(current_kl)
+            trace.append(current_kl if current_kl is not None else _kl(P, mask, *Y_kernel, gram))
 
     return Embedding2D(coords=Y, kl_trace=trace)
 

@@ -1,5 +1,6 @@
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -170,7 +171,10 @@ class TestTsne:
         # run returned all-NaN coordinates and a NaN final KL.
         pts = np.random.default_rng(0).normal(size=(30, 8))
         monkeypatch.setattr(emocast.tsne, "LEARNING_RATE", 1e300)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="learning rate"):
+        # each step's kernel is built when the step is taken, so the error
+        # names the first step, the one that left the embedding non-finite
+        message = "t-SNE iteration 1:.*learning rate"
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match=message):
             tsne(pts, TsneConfig(iterations=300))
 
     @pytest.mark.parametrize(
@@ -185,6 +189,20 @@ class TestTsne:
         pts, _ = two_blobs(n_per=5, seed=4)
         emb = tsne(pts, TsneConfig(iterations=1, seed=2))
         assert len(emb.kl_trace) == 1 and emb.kl_trace[0] > 0.0
+
+    def test_peak_memory_below_six_square_arrays(self):
+        # P, its support mask, two kernels and one scratch array: ~5.1 n x n
+        # float64 arrays; 260 iterations run both the exaggerated and the
+        # KL-checked phase.
+        n = 400
+        pts = emotion_like(n, 3)
+        tracemalloc.start()
+        try:
+            tsne(pts, TsneConfig(iterations=260, seed=3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n arrays"
 
 
 def emotion_like(n, seed):
@@ -217,6 +235,18 @@ class TestMatchesReferenceDescent:
 
     def test_rejected_steps(self):
         _, rejections = assert_same_descent(emotion_like(60, 1), TsneConfig(seed=1))
+        assert rejections > 0
+
+    def test_p_with_off_diagonal_zeros(self):
+        # Well-separated blobs at a low perplexity give P exact zeros off the
+        # diagonal; the objective must skip their log rather than take log(0).
+        rng = np.random.default_rng(0)
+        centres = rng.random((6, 32)) * 4.0
+        pts = centres[rng.integers(0, 6, 200)] + rng.normal(0.0, 0.05, size=(200, 32))
+        config = TsneConfig(perplexity=3.0, seed=0)
+        assert np.count_nonzero(joint_probabilities(pts, 3.0) == 0.0) > 200 * 100
+        with np.errstate(divide="raise", invalid="raise"):
+            _, rejections = assert_same_descent(pts, config)
         assert rejections > 0
 
     def test_exaggeration_covers_every_iteration(self):
