@@ -11,8 +11,7 @@ further run, or per-row work counters.
 * ``kmeans``: ``clustering.sse_curve`` for k = 1..10 with 10 restarts each
   (100 ``kmeans`` calls, as ``stage_cluster`` does) against the same sweep
   with ``kmeans_reference`` swapped in. It counts minor page faults, Lloyd
-  iterations and the rows measured against every centre (also reported as
-  ``rows_refreshed``, the rows the bounded loop did not certify).
+  iterations and the rows measured against every centre.
 * ``tsne``: ``tsne.tsne`` with the default ``TsneConfig`` against
   ``tsne_reference``, with peak memory.
 * ``ward``: ``clustering.ward_cluster``, cut at k = 6 by ``ward_cut``, against
@@ -141,12 +140,9 @@ def kmeans_sweep(pts: np.ndarray, reference: bool) -> Counted:
 
     def counted_nearest(*args):
         full = package_nearest(*args)
-        work["rows_refreshed"] += full
         work["rows_all_centres"] += full
         return full
 
-    if not reference:
-        work["rows_refreshed"] = 0
     clustering.kmeans = reference_kmeans if reference else counted_kmeans
     clustering._nearest_centres = counted_nearest
     try:
@@ -271,7 +267,6 @@ KERNELS = {
             "input": f"{EMOTION_LIKE}; sweep seed {KMEANS_SEED}",
             "minflt": "minor page faults of this process during the sweep (ru_minflt), median of the runs",
             "rows_all_centres": "rows whose squared distances to every centre were computed",
-            "rows_refreshed": "rows the bounded loop did not certify: the same count as rows_all_centres",
         },
     ),
     "tsne": Kernel(

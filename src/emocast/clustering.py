@@ -22,11 +22,11 @@ stay far below 1e6, the margin covers all of it, so rounding can never
 certify a point whose ``argmin``, ties to the lowest index, would pick
 another centre. Distances are computed one centre at a time with
 ``einsum("nd,nd->n")``, which gives the same bits as an n x k x d
-difference tensor without holding it. Centres are the sums of contiguous
-slices of the rows sorted stably by cluster, divided by the counts: the
-same ``mean(axis=0)`` over the same rows in the same order. After
-``_repair_empty`` moves a centre the bounds are reset. The scratch buffers
-(two n x d, one k x n, the bounds) are allocated once per call.
+difference tensor without holding it. Each centre is the sum of its
+cluster's rows, gathered by a boolean mask in row order, divided by the
+count: the same ``mean(axis=0)`` over the same rows in the same order.
+After ``_repair_empty`` moves a centre the bounds are reset. The scratch
+buffers (two n x d, one k x n, the bounds) are allocated once per call.
 """
 
 from __future__ import annotations
@@ -120,15 +120,14 @@ def _nearest_centres(
     of shapes n x d, n x d and k x n. Returns the number of rows measured.
     """
     rows, diff, d2 = scratch
-    n, k = X.shape[0], centers.shape[0]
     # a NaN bound fails the comparison, so it is never trusted
     stale = np.flatnonzero(~(upper * (1.0 + _BOUND_MARGIN) < lower))
     m = stale.size
     if m == 0:
         return 0
-    pts = X if m == n else np.take(X, stale, axis=0, out=rows[:m])
+    pts = np.take(X, stale, axis=0, out=rows[:m])
     block = d2[:, :m]
-    for j in range(k):
+    for j in range(centers.shape[0]):
         np.subtract(pts, centers[j], out=diff[:m])
         np.einsum("nd,nd->n", diff[:m], diff[:m], out=block[j])
     nearest = block.argmin(axis=0)
@@ -140,23 +139,19 @@ def _nearest_centres(
     return m
 
 
-def _centroids(
-    X: np.ndarray, assign: np.ndarray, counts: np.ndarray, rows: np.ndarray, centers: np.ndarray
-) -> None:
-    """Write each cluster's mean into ``centers``: the sum of its contiguous
-    slice of the rows sorted stably by cluster, divided by its count, the
-    same bits as ``mean(axis=0)`` over the same rows. ``rows`` is n x d
-    scratch."""
-    np.take(X, np.argsort(assign, kind="stable"), axis=0, out=rows)
-    start = 0
-    for j, end in enumerate(np.cumsum(counts)):
-        np.add.reduce(rows[start:end], axis=0, out=centers[j])
-        start = end
+def _centroids(X: np.ndarray, assign: np.ndarray, counts: np.ndarray, centers: np.ndarray) -> None:
+    """Write each cluster's mean into ``centers``: the sum of its rows in row
+    order divided by its count, the bits of ``X[assign == j].mean(axis=0)``."""
+    for j in range(centers.shape[0]):
+        np.add.reduce(X[assign == j], axis=0, out=centers[j])
     centers /= counts[:, None]  # what mean(axis=0) does after its sum
 
 
-def _final_sse(X: np.ndarray, centers: np.ndarray, assign: np.ndarray) -> float:
-    return float(((X - centers[assign]) ** 2).sum())
+def _sse(X: np.ndarray, centers: np.ndarray, assign: np.ndarray, out: np.ndarray) -> float:
+    """Squared distance of every row to its centre, summed; ``out`` is n x d scratch."""
+    np.take(centers, assign, axis=0, out=out)
+    np.subtract(X, out, out=out)
+    return float(np.square(out, out=out).sum())
 
 
 def kmeans(
@@ -184,7 +179,6 @@ def kmeans(
     centers = _kmeanspp_init(X, k, rng)
 
     scratch = (np.empty((n, dim)), np.empty((n, dim)), np.empty((k, n)))
-    rows, diff, _ = scratch
     upper = np.full(n, np.inf)  # >= distance to the own centre
     lower = np.zeros(n)  # <= distance to every other centre
     assign = np.zeros(n, dtype=np.intp)
@@ -205,14 +199,12 @@ def kmeans(
         if iterations > 1 and np.array_equal(assign, prev_assign):
             break
         previous[...] = centers
-        _centroids(X, assign, counts, rows, centers)
+        _centroids(X, assign, counts, centers)
         np.subtract(centers, previous, out=previous)
         shift = np.sqrt(np.einsum("kd,kd->k", previous, previous)) * (1.0 + _BOUND_MARGIN)
         upper += shift[assign]
         lower -= shift.max()
-        np.take(centers, assign, axis=0, out=diff)
-        np.subtract(X, diff, out=diff)
-        sse = float(np.square(diff, out=diff).sum())
+        sse = _sse(X, centers, assign, scratch[1])
         if math.isfinite(prev_sse) and sse > prev_sse + 1e-9 * (1.0 + prev_sse):
             raise InvariantError(
                 f"kmeans: SSE rose from {prev_sse!r} to {sse!r} in iteration {iterations}"
@@ -222,10 +214,13 @@ def kmeans(
         if too_few_rows:
             break
 
+    # At every exit the centres and assignments are the ones the last SSE
+    # was computed from: a repair just before convergence moves a one-point
+    # cluster's centre onto that point, which was already its mean.
     return KMeansResult(
         assignments=assign.tolist(),
         centroids=centers,
-        sse=_final_sse(X, centers, assign),
+        sse=prev_sse,
         iterations=iterations,
     )
 
@@ -245,8 +240,8 @@ def centroid_sse(points: Sequence[Sequence[float]], assignments: Sequence[int], 
     if not counts.all():
         raise ValueError(f"assignments must use every label 0..{k - 1}")
     centers = np.empty((k, X.shape[1]))
-    _centroids(X, assign, counts, np.empty_like(X), centers)
-    return _final_sse(X, centers, assign)
+    _centroids(X, assign, counts, centers)
+    return _sse(X, centers, assign, np.empty_like(X))
 
 
 def _derived_seed(seed: int, k: int, restart: int) -> int:

@@ -75,8 +75,7 @@ def load_text_blocks(source: str) -> list[RawBlock]:
     """Split plain script text into blocks, one per non-blank line."""
     blocks = []
     for i, line in enumerate(source.splitlines()):
-        if "\t" in line:
-            line = line.expandtabs()
+        line = line.expandtabs()
         text = line.strip()
         if text:
             blocks.append(RawBlock(text, len(line) - len(line.lstrip(" ")), i))
@@ -98,7 +97,8 @@ def load_positional_blocks(source: str) -> list[RawBlock]:
 
     Records end only at "\\r\\n", "\\r" or "\\n", the three line breaks JSON
     forbids raw inside a string; a record whose text holds U+2028, U+2029
-    or U+0085 stays whole. Line numbers count those breaks.
+    or U+0085 stays whole. Line numbers count those breaks. ``text`` must be
+    a JSON string and ``left`` a JSON number; a fractional offset truncates.
     """
     blocks = []
     for i, line in enumerate(source.replace("\r\n", "\n").replace("\r", "\n").split("\n")):
@@ -106,9 +106,11 @@ def load_positional_blocks(source: str) -> list[RawBlock]:
             continue
         try:
             obj = _decode_record(line)
-            text = str(obj["text"]).strip()
+            text, left = obj["text"], int(obj["left"])
+            if not isinstance(text, str) or isinstance(obj["left"], (bool, str)):
+                raise TypeError("'text' must be a JSON string and 'left' a JSON number")
+            text = text.strip()
             text.encode("utf-8")  # rejects a lone surrogate escape such as "\udc80"
-            left = int(obj["left"])
         except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"line {i + 1}: bad positional block: {exc}") from exc
         if left < 0:

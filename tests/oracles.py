@@ -427,15 +427,18 @@ def load_text_blocks_reference(source):
 
 
 def load_positional_blocks_reference(source):
-    """One block per JSON line, split by ``str.splitlines`` and read by ``json.loads``."""
+    """One block per JSON line, split by ``str.splitlines`` and read by
+    ``json.loads``: a string ``text`` and a numeric ``left``, truncated."""
     blocks = []
     for i, line in enumerate(source.splitlines()):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            text = str(obj["text"]).strip()
             left = int(obj["left"])
+            if type(obj["text"]) is not str or type(obj["left"]) in (bool, str):
+                raise TypeError("'text' must be a JSON string and 'left' a JSON number")
+            text = obj["text"].strip()
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"line {i + 1}: bad positional block: {exc}") from exc
         if left < 0:

@@ -20,6 +20,10 @@ TINY = {
     "ward": ("BENCH_5.json", (40,)),
     "text": ("BENCH_10.json", (0.15,)),
 }
+# kernel -> keys its historical file holds that a new report no longer writes.
+# rows_refreshed counted the rows the bounded loop did not certify; since the
+# loop has one bound test that is the same count as rows_all_centres.
+RETIRED_KEYS = {"kmeans": {"rows_refreshed"}}
 
 
 def run_main(monkeypatch, tmp_path, name, **entry):
@@ -34,12 +38,13 @@ def test_report_reads_like_the_historical_file(name, tmp_path, monkeypatch):
     historical_file, sizes = TINY[name]
     code, report = run_main(monkeypatch, tmp_path, name, sizes=sizes)
     historical = json.loads((REPO_ROOT / historical_file).read_text(encoding="utf-8"))
+    retired = RETIRED_KEYS.get(name, set())
     assert code == 0
-    assert historical.keys() <= report.keys()
+    assert historical.keys() - retired <= report.keys()
     assert historical["machine"].keys() | {"blas", "blas_config", "blas_threads", "src_lines"} <= (
         report["machine"].keys()
     )
-    row_keys = set().union(*historical["rows"])
+    row_keys = set().union(*historical["rows"]) - retired
     assert report["rows"]
     for row in report["rows"]:
         assert row_keys <= row.keys()

@@ -259,6 +259,27 @@ class TestErrors:
             "invalid literal for int() with base 10: 'x'\n"
         )
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '{"text": null, "left": 396}',
+            '{"text": 7, "left": true}',
+            '{"text": "ELENA", "left": "396"}',
+        ],
+        ids=["null-text", "number-text-bool-left", "string-left"],
+    )
+    def test_mistyped_jsonl_record_names_file_and_line(self, fixtures_dir, tmp_path, capsys, record):
+        inputs, args = copied_inputs(fixtures_dir, tmp_path)
+        path = inputs / "scripts" / "glass_orchard.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = record + "\n"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert run_cli("parse", *args) == 1
+        assert capsys.readouterr().err == (
+            "error in stage parse: glass_orchard.jsonl: line 3: bad positional block: "
+            "'text' must be a JSON string and 'left' a JSON number\n"
+        )
+
     def test_one_gender_corpus_fails_score_unrecorded(self, fixtures_dir, tmp_path, capsys):
         # the U battery needs both groups; score writes emotions.csv, then fails before its record
         inputs, args = copied_inputs(fixtures_dir, tmp_path)
