@@ -15,10 +15,10 @@ recorded KL trace monotone instead of merely usually-descending.
 The descent builds the n x n Student-t kernel once per new position, as
 ``(num, num.sum())``, when the step to it is taken; the gradient and the
 objective at that position read it, and a rejected candidate leaves the
-current kernel in place. Besides P and its support mask, the descent holds
-three n x n buffers allocated once per run: two kernels and a scratch array
-for the Gram product, the gradient weights and the KL terms. An iteration
-allocates no n x n temporary beyond the gather of the KL terms on P's support.
+current kernel in place. Besides P, the descent holds three n x n buffers
+allocated once per run: two kernels and a scratch array for the Gram
+product, the gradient weights and the log-kernel of the objective. An
+iteration allocates no n x n temporary.
 """
 
 from __future__ import annotations
@@ -143,17 +143,17 @@ def _student_t_kernel(
     return num, float(num.sum())
 
 
-def _kl(P: np.ndarray, mask: np.ndarray, num: np.ndarray, total: float, out: np.ndarray) -> float:
-    """KL(P || Q) over the support ``mask`` of P, summed in ``P[mask]`` order.
+def _kl(P: np.ndarray, p_log_p: float, num: np.ndarray, total: float, out: np.ndarray) -> float:
+    """KL(P || Q) with Q = num / total floored at 1e-12, given sum P log P.
 
-    ``out`` holds the terms; off the support they stay zero and no log is taken.
+    P sums to one, so the objective is sum P log P - sum P log num + log total.
+    Flooring num at 1e-12 * total floors Q and keeps every log finite, the
+    zero diagonal included, so P's zeros add nothing to the dense dot product.
+    ``out`` holds log num.
     """
-    terms = np.divide(num, total, out=out)
-    np.maximum(terms, _EPS, out=terms)
-    np.divide(P, terms, out=terms)
-    np.log(terms, out=terms, where=mask)
-    terms *= P
-    return float(terms[mask].sum())
+    log_num = np.maximum(num, _EPS * total, out=out)
+    np.log(log_num, out=log_num)
+    return p_log_p - float(np.vdot(P, log_num)) + math.log(total)
 
 
 def _gradient(
@@ -195,12 +195,14 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
 
     perplexity = min(config.perplexity, (n - 1) / 3.0)
     P = joint_probabilities(X, perplexity)
-    mask = P > 0
+    support = P[P > 0]
+    p_log_p = float((support * np.log(support)).sum())
+    del support  # up to n x n floats the descent does not read
 
     # buffers[0] holds the kernel of Y, buffers[1] the candidate's, and the
     # exaggerated P until that kernel is built; an accepted step swaps them.
     # gram holds the Gram product while a kernel is built, the gradient
-    # weights while the gradient is, and the terms while the KL is summed.
+    # weights while the gradient is, and log num while the KL is summed.
     buffers = [np.empty((n, n)), np.empty((n, n))]
     gram = np.empty((n, n))
 
@@ -241,8 +243,8 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
             buffers.reverse()
         else:
             if current_kl is None:
-                current_kl = _kl(P, mask, *Y_kernel, gram)
-            candidate_kl = _kl(P, mask, *candidate_kernel, gram)
+                current_kl = _kl(P, p_log_p, *Y_kernel, gram)
+            candidate_kl = _kl(P, p_log_p, *candidate_kernel, gram)
             if candidate_kl > current_kl:  # reject the uphill step
                 velocity[:] = 0.0
                 gains[:] = 1.0
@@ -254,7 +256,7 @@ def tsne(points: Sequence[Sequence[float]], config: TsneConfig = TsneConfig()) -
                 step_scale = min(step_scale * 1.05, 1.0)
 
         if iteration % KL_RECORD_EVERY == 0 or iteration == config.iterations:
-            trace.append(current_kl if current_kl is not None else _kl(P, mask, *Y_kernel, gram))
+            trace.append(current_kl if current_kl is not None else _kl(P, p_log_p, *Y_kernel, gram))
 
     return Embedding2D(coords=Y, kl_trace=trace)
 

@@ -290,6 +290,23 @@ def kl_divergence_reference(P, coords):
     return float((P[mask] * np.log(P[mask] / np.maximum(Q[mask], _TSNE_EPS))).sum())
 
 
+def kl_decomposed_reference(P, p_log_p, coords):
+    """KL(P || Q) as sum P log P - sum P log num + log Z, Q = num / Z floored at 1e-12.
+
+    ``p_log_p`` is sum P log P over P's support. Every array is fresh; the
+    floor is taken on num at 1e-12 Z, and P's zeros add nothing to the dot.
+    """
+    num = _student_t_weights_reference(coords)
+    total = num.sum()
+    log_num = np.log(np.maximum(num, _TSNE_EPS * total))
+    return float(p_log_p - np.vdot(P, log_num) + math.log(total))
+
+
+def p_log_p_reference(P):
+    support = P[P > 0]
+    return float((support * np.log(support)).sum())
+
+
 def kl_gradient_reference(P, coords):
     num = _student_t_weights_reference(coords)
     Q = num / num.sum()
@@ -298,7 +315,8 @@ def kl_gradient_reference(P, coords):
 
 
 def tsne_reference(points, config=TsneConfig()):
-    """The exact t-SNE descent the package shipped first.
+    """The exact t-SNE descent the package shipped first, with its objective
+    rearranged as ``kl_decomposed_reference``.
 
     Builds the Student-t kernel from scratch for every gradient and every
     objective evaluation (twice per iteration once exaggeration ends) and
@@ -312,6 +330,7 @@ def tsne_reference(points, config=TsneConfig()):
     perplexity = min(config.perplexity, (n - 1) / 3.0)
     cond = perplexity_calibration(_sq_distances_reference(X), perplexity)
     P = (cond + cond.T) / (2.0 * n)
+    p_log_p = p_log_p_reference(P)
 
     rng = np.random.default_rng(config.seed)
     Y = rng.normal(0.0, 1e-4, size=(n, 2))
@@ -339,8 +358,8 @@ def tsne_reference(points, config=TsneConfig()):
             Y = candidate
         else:
             if current_kl is None:
-                current_kl = kl_divergence_reference(P, Y)
-            candidate_kl = kl_divergence_reference(P, candidate)
+                current_kl = kl_decomposed_reference(P, p_log_p, Y)
+            candidate_kl = kl_decomposed_reference(P, p_log_p, candidate)
             if candidate_kl > current_kl:  # reject the uphill step
                 rejections += 1
                 velocity[:] = 0.0
@@ -352,7 +371,9 @@ def tsne_reference(points, config=TsneConfig()):
                 step_scale = min(step_scale * 1.05, 1.0)
 
         if iteration % KL_RECORD_EVERY == 0 or iteration == config.iterations:
-            trace.append(current_kl if current_kl is not None else kl_divergence_reference(P, Y))
+            trace.append(
+                current_kl if current_kl is not None else kl_decomposed_reference(P, p_log_p, Y)
+            )
 
     return Embedding2D(coords=Y, kl_trace=trace), rejections
 

@@ -10,6 +10,7 @@ from emocast.errors import NonFiniteError
 from emocast.tsne import (
     TsneConfig,
     _gradient,
+    _kl,
     _student_t_kernel,
     joint_probabilities,
     pairwise_sq_distances,
@@ -18,7 +19,13 @@ from emocast.tsne import (
     tsne,
 )
 
-from oracles import kl_divergence_reference, silhouette, tsne_reference
+from oracles import (
+    kl_decomposed_reference,
+    kl_divergence_reference,
+    p_log_p_reference,
+    silhouette,
+    tsne_reference,
+)
 
 
 def two_blobs(n_per=10, separation=25.0, sigma=0.5, seed=0, dim=32):
@@ -100,6 +107,50 @@ class TestGradient:
                 ) / (2 * h)
         rel = np.linalg.norm(grad - numeric) / max(np.linalg.norm(grad), np.linalg.norm(numeric))
         assert rel < 1e-4
+
+
+def six_blobs(n=200, seed=0):
+    # well-separated blobs: at perplexity 3, P has exact zeros off the diagonal
+    rng = np.random.default_rng(seed)
+    centres = rng.random((6, 32)) * 4.0
+    return centres[rng.integers(0, 6, n)] + rng.normal(0.0, 0.05, size=(n, 32))
+
+
+class TestKlObjective:
+    """The decomposed objective against the masked, clamped sum it replaced."""
+
+    @staticmethod
+    def assert_objectives_agree(P, Y):
+        num, total = _student_t_kernel(Y)
+        p_log_p = p_log_p_reference(P)
+        masked = kl_divergence_reference(P, Y)
+        ours = _kl(P, p_log_p, num, total, np.empty_like(P))
+        assert ours == pytest.approx(masked, rel=1e-12, abs=0.0)
+        assert kl_decomposed_reference(P, p_log_p, Y) == pytest.approx(masked, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_emotion_like_points(self, seed):
+        rng = np.random.default_rng(seed)
+        P = joint_probabilities(emotion_like(120, seed), 30.0)
+        self.assert_objectives_agree(P, rng.normal(0.0, 3.0, size=(120, 2)))
+
+    def test_p_with_off_diagonal_zeros(self):
+        P = joint_probabilities(six_blobs(), 3.0)
+        assert np.count_nonzero(P == 0.0) > 200 * 100
+        Y = np.random.default_rng(1).normal(0.0, 3.0, size=(200, 2))
+        with np.errstate(divide="raise", invalid="raise"):
+            self.assert_objectives_agree(P, Y)
+
+    def test_q_floor_is_hit(self):
+        # two groups ~1e6 apart: cross-group q ~ 1e-12 / n^2 fall below the floor
+        rng = np.random.default_rng(2)
+        n = 40
+        P = joint_probabilities(emotion_like(n, 2), 10.0)
+        Y = rng.normal(0.0, 1.0, size=(n, 2))
+        Y[n // 2 :, 0] += 1e6
+        num, total = _student_t_kernel(Y)
+        assert np.count_nonzero(num / total < 1e-12) > 0
+        self.assert_objectives_agree(P, Y)
 
 
 class TestTsne:
@@ -190,10 +241,9 @@ class TestTsne:
         emb = tsne(pts, TsneConfig(iterations=1, seed=2))
         assert len(emb.kl_trace) == 1 and emb.kl_trace[0] > 0.0
 
-    def test_peak_memory_below_six_square_arrays(self):
-        # P, its support mask, two kernels and one scratch array: ~5.1 n x n
-        # float64 arrays; 260 iterations run both the exaggerated and the
-        # KL-checked phase.
+    def test_peak_memory_below_five_square_arrays(self):
+        # P, two kernels and one scratch array: ~4.1 n x n float64 arrays;
+        # 260 iterations run both the exaggerated and the KL-checked phase.
         n = 400
         pts = emotion_like(n, 3)
         tracemalloc.start()
@@ -202,7 +252,7 @@ class TestTsne:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 6 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n arrays"
+        assert peak < 5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n arrays"
 
 
 def emotion_like(n, seed):
@@ -240,9 +290,7 @@ class TestMatchesReferenceDescent:
     def test_p_with_off_diagonal_zeros(self):
         # Well-separated blobs at a low perplexity give P exact zeros off the
         # diagonal; the objective must skip their log rather than take log(0).
-        rng = np.random.default_rng(0)
-        centres = rng.random((6, 32)) * 4.0
-        pts = centres[rng.integers(0, 6, 200)] + rng.normal(0.0, 0.05, size=(200, 32))
+        pts = six_blobs()
         config = TsneConfig(perplexity=3.0, seed=0)
         assert np.count_nonzero(joint_probabilities(pts, 3.0) == 0.0) > 200 * 100
         with np.errstate(divide="raise", invalid="raise"):
