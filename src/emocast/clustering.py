@@ -41,7 +41,6 @@ from .errors import CurveError, DimensionError, InvariantError, NonFiniteError
 
 KMEANS_MAX_ITER = 300
 DEFAULT_RESTARTS = 10
-_WARD_ROW_BLOCK = 16  # rows of pairwise differences held at once
 _BOUND_MARGIN = 1e-9  # relative slack of the Hamerly bound test, see the module docstring
 
 
@@ -296,9 +295,10 @@ def ward_cluster(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndar
 
     Memory is O(n^2): one n x n cost matrix indexed by slot. Slot i starts
     with cluster i; a merge puts the new cluster in the slot of id_a and
-    retires the slot of id_b. Each slot caches its cheapest partner among
-    the clusters with a larger id (ties to the lowest id), so a merge
-    rescans only the rows whose cached partner took part in it.
+    retires the slot of id_b: its costs become inf and its size 0, so the
+    recurrence, applied to whole rows, keeps them inf. Each slot caches its
+    cheapest partner among the clusters with a larger id (ties to the lowest
+    id), so a merge rescans only the rows whose cached partner took part in it.
     """
     X = _as_matrix(points)
     n = X.shape[0]
@@ -306,19 +306,20 @@ def ward_cluster(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndar
         raise ValueError("ward_cluster needs at least 2 points")
 
     cost = np.empty((n, n))
-    for lo in range(0, n, _WARD_ROW_BLOCK):
-        diff = X[lo : lo + _WARD_ROW_BLOCK, None, :] - X[None, :, :]
-        cost[lo : lo + _WARD_ROW_BLOCK] = 0.5 * np.einsum("ijd,ijd->ij", diff, diff)
+    diff = np.empty_like(X)
+    for i in range(n):
+        np.subtract(X, X[i], out=diff)
+        np.einsum("nd,nd->n", diff, diff, out=cost[i])
+    cost *= 0.5
     np.fill_diagonal(cost, np.inf)
 
     ids = np.arange(n)  # cluster id held by each slot
     sizes = np.ones(n)
-    active = np.ones(n, dtype=bool)
     nn_cost = np.full(n, np.inf)
     nn_slot = np.full(n, -1)
 
     def rescan(slot: int) -> None:
-        row = np.where(active & (ids > ids[slot]), cost[slot], np.inf)
+        row = np.where(ids > ids[slot], cost[slot], np.inf)
         best = row.min()
         ties = np.flatnonzero(row == best)
         nn_cost[slot] = best
@@ -339,29 +340,22 @@ def ward_cluster(points: Sequence[Sequence[float]]) -> tuple[np.ndarray, np.ndar
         pairs[step] = ids[a], ids[b]
         new_size = sizes[a] + sizes[b]
 
-        active[a] = active[b] = False
-        others = np.flatnonzero(active)
-        s = sizes[others]
-        updated = (
-            (sizes[a] + s) * cost[a, others]
-            + (sizes[b] + s) * cost[b, others]
-            - s * merge_cost
-        ) / (new_size + s)
-        cost[a, others] = updated
-        cost[others, a] = updated
-        active[a] = True
+        updated = (sizes[a] + sizes) * cost[a] + (sizes[b] + sizes) * cost[b] - sizes * merge_cost
+        updated /= new_size + sizes
+        cost[a] = cost[:, a] = updated  # inf at a and b (the diagonal) and at every retired slot
+        cost[b] = cost[:, b] = np.inf
         ids[a] = n + step
-        sizes[a] = new_size
+        sizes[a], sizes[b] = new_size, 0.0
         nn_cost[a] = nn_cost[b] = np.inf
         nn_slot[a] = nn_slot[b] = -1
 
         # Rows whose cached partner was merged away are rescanned. Any other
         # row keeps its partner unless the new cluster is strictly cheaper:
         # the new id is the largest, so it never wins a cost tie.
-        stale = others[(nn_slot[others] == a) | (nn_slot[others] == b)]
-        lower = updated < nn_cost[others]
-        nn_cost[others[lower]] = updated[lower]
-        nn_slot[others[lower]] = a
+        stale = np.flatnonzero((nn_slot == a) | (nn_slot == b))
+        lower = updated < nn_cost
+        nn_cost[lower] = updated[lower]
+        nn_slot[lower] = a
         for slot in stale:
             rescan(int(slot))
 

@@ -1,6 +1,7 @@
 """Exception types raised across the package, and the reader of input
 files that turns a UTF-8 decoding failure into one of them."""
 
+import codecs
 from pathlib import Path
 
 
@@ -64,13 +65,14 @@ class InputEncodingError(EmocastError):
 
 
 def read_utf8(path: str | Path) -> str:
-    """The text of ``path``, as ``Path.read_text(encoding="utf-8")`` gives it.
+    """The text of ``path``, as ``Path.read_text(encoding="utf-8-sig")`` gives it.
 
     Line breaks are translated as in that call ("\\r\\n" and "\\r" become
     "\\n"). A byte sequence that is not UTF-8 raises InputEncodingError
     naming its line, counted over those three breaks from 1, and the byte.
     """
-    data = Path(path).read_bytes()
+    # dropped from the bytes rather than by "utf-8-sig", whose error offsets skip it
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

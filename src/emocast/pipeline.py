@@ -224,14 +224,14 @@ def _script_files(cfg: RunConfig) -> list[Path]:
 
 
 def _parsed(path: Path, parse: Callable[[TextIO], T], stage: str = "") -> T:
-    """``parse`` of ``path`` opened as UTF-8 text, line breaks as in read_utf8.
+    """``parse`` of ``path`` opened as UTF-8 text, a BOM and line breaks as in read_utf8.
     A failure becomes one error starting ``[<stage>: ]<file>: ``: a package
     error keeps its type, a parser's other errors become ValueError, and a
     byte that is not UTF-8 is named by its line."""
     where = f"{stage}: {path.name}" if stage else path.name
     try:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:
                 return parse(fh)
         except UnicodeDecodeError:
             read_utf8(path)  # a stream cannot tell the line of a bad byte; this raises naming it
@@ -339,6 +339,8 @@ def _read_characters(fh: TextIO) -> CharacterTable:
             vectors.append([float(cell) for cell in rec[3:-2]])
             if not all(map(math.isfinite, vectors[-1])):
                 raise ValueError("emotion values must be finite, not nan or inf")
+            if not all(0.0 <= value <= 1.0 for value in vectors[-1]):  # each is a mean of shares
+                raise ValueError("emotion values must lie in [0, 1]")
             keys.append((rec[0], rec[1], rec[2]))
             no_affect.append(rec[-2] == "true")
     except UnicodeDecodeError:

@@ -1,9 +1,11 @@
 """Artifact bytes against the golden files, atomic replacement, and the scripts."""
 
+import codecs
 import csv
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -49,19 +51,19 @@ def subprocess_env(blas_threads=None):
     return env
 
 
-def run_all_in_subprocess(inputs, out, blas_threads=None):
+def run_all_in_subprocess(inputs, out, blas_threads=None, args=None):
     """``run-all`` in a fresh process, which imports numpy after emocast as
     the console script does: the pin cannot act in this process, where numpy
-    is already loaded."""
-    proc = subprocess.run(
-        [
-            sys.executable, "-c", "import sys; from emocast.cli import main; sys.exit(main())",
-            "run-all",
+    is already loaded. ``args`` replaces the flags naming inputs and out."""
+    if args is None:
+        args = [
             "--scripts", str(inputs / "scripts"),
             "--metadata", str(inputs / "metadata.csv"),
             "--lexicon", str(inputs / "lexicon.tsv"),
             "--out", str(out),
-        ],
+        ]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from emocast.cli import main; sys.exit(main())", "run-all", *args],
         capture_output=True, text=True, env=subprocess_env(blas_threads), timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
@@ -78,6 +80,25 @@ def test_run_all_matches_golden_files(tmp_path):
     for name in GOLDEN_CSVS:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
     assert report_without_timestamp(tmp_path) == (GOLDEN / "report.json").read_text(encoding="utf-8")
+
+
+def test_leading_byte_order_marks_are_not_content(tmp_path):
+    inputs = tmp_path / "inputs"
+    shutil.copytree(FIXTURES, inputs, ignore=shutil.ignore_patterns("golden"))
+    for name in ("metadata.csv", "lexicon.tsv", "scripts/harbor_lights.txt", "scripts/glass_orchard.jsonl"):
+        path = inputs / name
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    out = tmp_path / "out"
+    config = tmp_path / "run.conf"
+    config.write_bytes(codecs.BOM_UTF8 + "".join(
+        f"{key} = {path}\n"
+        for key, path in (("scripts", inputs / "scripts"), ("metadata", inputs / "metadata.csv"),
+                          ("lexicon", inputs / "lexicon.tsv"), ("out", out))
+    ).encode("utf-8"))
+    run_all_in_subprocess(inputs, out, args=["--config", str(config)])
+    for name in GOLDEN_CSVS:
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert report_without_timestamp(out) == (GOLDEN / "report.json").read_text(encoding="utf-8")
 
 
 def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path):

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -108,6 +109,29 @@ class TestStagedRuns:
         with (out / "clusters.csv").open(newline="") as fh:
             labels = [int(row["kmeans_cluster"]) for row in csv.DictReader(fh)]
         assert labels == best_kmeans(matrix, k, seed=42).assignments
+
+    def test_two_affect_rows_fall_back_to_one_unknown_cluster(self, fixture_args, capsys):
+        # two points give a two-point SSE curve, too short for an elbow; both
+        # unknown, so each method's one cluster has the ratio nan
+        args, out = fixture_args
+        for stage in ("parse", "score"):
+            assert run_cli(stage, *args) == 0, stage
+        path = out / "emotions.csv"
+        header, *rows = (line.split(",") for line in path.read_text(encoding="utf-8").splitlines())
+        for i, cells in enumerate(rows):
+            cells[2] = "unknown"
+            cells[-2] = "false" if i < 2 else "true"
+        path.write_text("".join(",".join(cells) + "\n" for cells in [header, *rows]), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("cluster", *args, "--k", "auto") == 0
+        assert "[cluster] k=1 (elbow), 2 characters, 4 no-affect excluded" in capsys.readouterr().out
+        with (out / "ssecurve.csv").open(newline="") as fh:
+            assert [row["k"] for row in csv.DictReader(fh)] == ["1", "2"]
+        with (out / "composition.csv").open(newline="") as fh:
+            composition = list(csv.DictReader(fh))
+        assert [(row["method"], row["cluster"], row["ratio"]) for row in composition] == [
+            ("kmeans", "0", "nan"), ("ward", "0", "nan")
+        ]
 
     def test_all_stages_compose(self, fixture_args):
         args, out = fixture_args
@@ -360,6 +384,19 @@ class TestErrors:
             fixture_args, capsys, 4, lambda cells: [*cells[:5], cell, *cells[6:]], command
         )
         assert "emotions.csv: line 4: emotion values must be finite" in err
+
+    @pytest.mark.parametrize("cell", ["-0.5", "1.5", "1e200"])
+    @pytest.mark.parametrize("command", ["cluster", "project"])
+    def test_emotions_cell_outside_unit_interval_names_file_and_line(self, fixture_args, capsys, command, cell):
+        # rejected before any numpy arithmetic: no RuntimeWarning, and stderr is
+        # the stale warning and the error line only
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            err = self._cluster_with_emotions_line(
+                fixture_args, capsys, 4, lambda cells: [*cells[:5], cell, *cells[6:]], command
+            )
+        assert "emotions.csv: line 4: emotion values must lie in [0, 1]" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("command", ["cluster", "project"])
     def test_bad_gender_label_names_file_and_line(self, fixture_args, capsys, command):

@@ -444,7 +444,8 @@ class TestWard:
             zero_cost_merges += sum(1 for _, _, cost, _ in got if cost == 0.0)
         assert zero_cost_merges >= 300
 
-    def test_peak_memory_quadratic(self):
+    def test_peak_memory_is_one_cost_matrix(self):
+        # the n x n cost matrix, plus O(n) rows and O(n d) scratch
         n, dim = 600, 32
         pts = planted_clusters(np.random.default_rng(600), n, dim)
         tracemalloc.start()
@@ -453,7 +454,7 @@ class TestWard:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 8 * n * n * 8, f"peak {peak / 1e6:.1f} MB"
+        assert peak < 1.25 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n"
 
     @given(st.integers(0, 10_000), st.integers(2, 30), st.integers(1, 3), st.booleans())
     @settings(max_examples=60, deadline=None)
@@ -518,6 +519,12 @@ class TestCompositionAudit:
         rows = composition_audit([0, 0, 1, 1, 1, 1, 1, 1, 1, 1], ["male"] * 5 + ["female"] * 5)
         assert math.isinf(rows[0]["ratio"])
         assert rows[0]["expected_female"] == pytest.approx(1.0)  # overall 5:5
+
+    def test_unknown_only_cluster_nan_ratio(self):
+        rows = composition_audit([0, 0, 1, 1], ["unknown", "unknown", "female", "male"])
+        assert (rows[0]["female"], rows[0]["male"]) == (0, 0)
+        assert math.isnan(rows[0]["ratio"])
+        assert rows[0]["expected_female"] == rows[0]["deviation"] == 0.0
 
     def test_counts_partition_totals(self):
         rng = np.random.default_rng(0)

@@ -328,7 +328,7 @@ def test_read_utf8_reads_as_read_text(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "input"
         path.write_bytes(text.encode("utf-8"))
-        assert read_utf8(path) == path.read_text(encoding="utf-8")
+        assert read_utf8(path) == path.read_text(encoding="utf-8-sig")  # one leading BOM dropped
 
 
 @pytest.mark.parametrize(
@@ -345,6 +345,13 @@ def test_read_utf8_names_line_of_first_bad_byte(tmp_path, data, line):
     path = tmp_path / "input"
     path.write_bytes(data)
     with pytest.raises(InputEncodingError, match=f"^line {line}: not valid UTF-8: "):
+        read_utf8(path)
+
+
+def test_read_utf8_names_the_bad_byte_after_a_bom(tmp_path):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xef\xbb\xbf\xff")
+    with pytest.raises(InputEncodingError, match=r"^line 1: not valid UTF-8: invalid start byte \(byte 0xff\)$"):
         read_utf8(path)
 
 
